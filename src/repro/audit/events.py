@@ -66,7 +66,6 @@ EVENT_KINDS = frozenset({
     "ack_cancel",
     "checkpoint",
     "drain",
-    "transport",
 })
 
 

@@ -48,14 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attach the protocol flight recorder and online "
                          "invariant auditor (fails loudly with an event "
                          "trace on any protocol violation)")
-    sw.add_argument("--no-coalesce", action="store_true",
-                    help="disable the coalescing transport (one backend "
-                         "transaction per message instead of per frame); "
-                         "bit-identical on the sim backend, useful to "
-                         "isolate a transport-layer suspicion")
     sw.add_argument("--stats", action="store_true",
-                    help="print per-rank transport counters (messages, "
-                         "frames, bytes, flush reasons) after the run")
+                    help="print per-rank traffic (messages sent and "
+                         "received, bytes sent) after the run")
     ft = sw.add_argument_group(
         "fault injection / fault tolerance",
         "deterministic faults (seeded, identical on every backend); any "
@@ -119,8 +114,7 @@ def _cmd_switch(args) -> int:
         audit=args.audit, faults=faults,
         fault_tolerance=True if args.fault_tolerance else None,
         checkpoint=args.checkpoint, resume=args.resume,
-        halt_after_step=args.halt_after_step,
-        coalesce=not args.no_coalesce)
+        halt_after_step=args.halt_after_step)
     print(f"dataset={args.dataset} n={graph.num_vertices} "
           f"m={graph.num_edges} t={t}")
     print(f"scheme={res.scheme} ranks={args.ranks} backend={args.backend}")
@@ -133,7 +127,7 @@ def _cmd_switch(args) -> int:
     print(f"simulated time: {res.sim_time:.0f} cost units; "
           f"messages: {res.run.total_messages}")
     if args.stats:
-        _print_transport_stats(res)
+        _print_traffic_stats(res)
     res.graph.check_invariants()
     if res.dead_ranks:
         print(f"crashed ranks: {res.dead_ranks} — their partitions are "
@@ -149,21 +143,15 @@ def _cmd_switch(args) -> int:
     return 0
 
 
-def _print_transport_stats(res) -> None:
-    """Per-rank coalescing-transport counters (``--stats``)."""
-    print("transport (per rank):")
-    for rank, report in enumerate(res.reports):
-        if report is None:
-            print(f"  rank {rank}: crashed")
-            continue
-        tc = report.transport
-        if tc is None:
-            print(f"  rank {rank}: coalescing off")
-            continue
-        reasons = ", ".join(f"{k}={v}" for k, v in sorted(tc["flushes"].items()))
-        print(f"  rank {rank}: {tc['messages']} msgs in {tc['frames']} "
-              f"frames ({tc['batched_messages']} batched, {tc['bytes']} "
-              f"bytes); flushes: {reasons}")
+def _print_traffic_stats(res) -> None:
+    """Per-rank message traffic from the backend's rank traces
+    (``--stats``)."""
+    print("traffic (per rank):")
+    for rt in res.run.trace.ranks:
+        note = " (crashed)" if rt.crashed else ""
+        print(f"  rank {rt.rank}: sent {rt.messages_sent} msgs "
+              f"({rt.bytes_sent} bytes), received "
+              f"{rt.messages_received} msgs{note}")
 
 
 def _cmd_scaling(args) -> int:

@@ -21,7 +21,6 @@ from repro.core.parallel.checkpoint import (
 from repro.core.parallel.ftolerance import FTConfig
 from repro.core.parallel.rank_program import switch_rank_program
 from repro.core.parallel.state import RankReport
-from repro.core.parallel.transport import TransportConfig
 from repro.errors import CheckpointError
 from repro.mpsim.faults import FaultPlan
 from repro.errors import (
@@ -84,12 +83,6 @@ class ParallelSwitchConfig:
     #: death handling); ``None`` (the default) disables it — protocol
     #: payloads then travel bare, exactly as without this feature.
     fault_tolerance: Optional[FTConfig] = None
-    #: Coalescing transport parameters; ``None`` (or
-    #: ``TransportConfig(enabled=False)``) leaves the rank programs
-    #: unwrapped — every send costs one backend transaction, as before
-    #: this layer existed.  The driver defaults this to *on* with a
-    #: backend-resolved ``flush_on_compute``.
-    transport: Optional[TransportConfig] = None
 
     def __post_init__(self):
         if self.t < 0:
@@ -254,7 +247,6 @@ def parallel_edge_switch(
     checkpoint: Union[str, CheckpointConfig, None] = None,
     resume: Optional[str] = None,
     halt_after_step: Optional[int] = None,
-    coalesce: Union[bool, TransportConfig] = True,
 ) -> ParallelSwitchResult:
     """Switch edges of ``graph`` on a ``num_ranks``-processor machine.
 
@@ -289,15 +281,6 @@ def parallel_edge_switch(
     — the process backend cannot share a sink.  ``halt_after_step``
     stops the run cleanly after that many steps (a deterministic kill
     point for restart testing).
-
-    ``coalesce`` (default on) routes every rank program through the
-    coalescing transport layer: consecutive protocol sends travel as
-    single frames, per-rank transport counters land in the reports.
-    On the discrete-event backend the result is bit-identical to
-    ``coalesce=False`` for the same seed — the frames change only how
-    many simulator transactions the messages cost.  Pass a
-    :class:`~repro.core.parallel.transport.TransportConfig` to tune
-    batch size or flush policy.
 
     The input graph is not modified.
     """
@@ -342,30 +325,12 @@ def parallel_edge_switch(
         ft_cfg = dataclasses.replace(
             ft_cfg, tick=50.0 if backend == "sim" else 0.05)
 
-    if coalesce is True:
-        transport_cfg: Optional[TransportConfig] = TransportConfig()
-    elif coalesce is False or coalesce is None:
-        transport_cfg = None
-    elif isinstance(coalesce, TransportConfig):
-        transport_cfg = coalesce if coalesce.enabled else None
-    else:
-        raise ConfigurationError(
-            f"coalesce must be a bool or TransportConfig, got {coalesce!r}")
-    if transport_cfg is not None and transport_cfg.flush_on_compute is None:
-        # Backend-resolved: the discrete-event engine needs a flush
-        # before every Compute to keep coalescing bit-invisible; real
-        # backends hold frames across rank-local computes so an ack
-        # can ride with the handler's reply.
-        transport_cfg = dataclasses.replace(
-            transport_cfg, flush_on_compute=(backend == "sim"))
-
     config = ParallelSwitchConfig(
         t=t, step_size=step_size, cost=cost,
         # workers have their own memory: results must travel in reports
         collect_edges=(backend == "procs"),
         audit=audit_cfg,
         fault_tolerance=ft_cfg,
-        transport=transport_cfg,
     )
 
     sink: Optional[CheckpointSink] = None

@@ -16,7 +16,11 @@ handlers and the transport:
   loop's timed receive) with seeded, bounded exponential backoff;
 * **idempotent receive** — duplicates (from the fault plan or from
   retransmission) are suppressed by ``(source, seq)`` bookkeeping,
-  making every handler effectively exactly-once.  ``dedup=False``
+  making every handler effectively exactly-once.  Senders number
+  frames per destination from 0 without gaps, so each source needs
+  only a low-water mark (every seq below it was delivered) plus the
+  set of seqs delivered ahead of it; memory is bounded by the
+  reordering window, not by the run length.  ``dedup=False``
   disables the suppression — the mutation-test knob: the auditor must
   then catch the resulting double-applies;
 * **bounded delivery** — after ``max_retries`` retransmissions a frame
@@ -95,8 +99,9 @@ class ReliableChannel:
     the timed receive expires, :meth:`cancel_dest` on a peer's death.
     """
 
-    __slots__ = ("cfg", "rank", "next_seq", "pending", "seen", "ticks",
-                 "retransmits", "dup_drops", "abandoned", "_jitter")
+    __slots__ = ("cfg", "rank", "next_seq", "pending", "low_water",
+                 "out_of_order", "ticks", "retransmits", "dup_drops",
+                 "abandoned", "_jitter")
 
     def __init__(self, rank: int, cfg: FTConfig):
         self.cfg = cfg
@@ -104,8 +109,10 @@ class ReliableChannel:
         self.next_seq: Dict[int, int] = {}
         #: (dest, seq) -> _Pending, insertion-ordered (oldest first).
         self.pending: Dict[Tuple[int, int], _Pending] = {}
-        #: Per-source set of frame seqs already delivered.
-        self.seen: Dict[int, Set[int]] = {}
+        #: Per source: every frame seq below this was delivered.
+        self.low_water: Dict[int, int] = {}
+        #: Per source: delivered seqs above the low-water mark.
+        self.out_of_order: Dict[int, Set[int]] = {}
         self.ticks = 0
         self.retransmits = 0
         self.dup_drops = 0
@@ -135,11 +142,23 @@ class ReliableChannel:
         """Dedup a received frame; returns the inner payload, or
         ``None`` when it is a duplicate (suppressed)."""
         if self.cfg.dedup:
-            seen = self.seen.setdefault(source, set())
-            if frame.seq in seen:
+            seq = frame.seq
+            low = self.low_water.get(source, 0)
+            ahead = self.out_of_order.get(source)
+            if seq < low or (ahead and seq in ahead):
                 self.dup_drops += 1
                 return None
-            seen.add(frame.seq)
+            if seq == low:
+                low += 1
+                if ahead:
+                    while low in ahead:
+                        ahead.discard(low)
+                        low += 1
+                self.low_water[source] = low
+            elif ahead is None:
+                self.out_of_order[source] = {seq}
+            else:
+                ahead.add(seq)
         return frame.payload
 
     # -- timeouts ------------------------------------------------------

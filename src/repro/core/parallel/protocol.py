@@ -55,11 +55,16 @@ from repro.core.parallel.messages import (
 from repro.core.parallel.state import InitiatorState, RankReport, ServantState
 from repro.core.visit_rate import VisitTracker
 from repro.errors import ProtocolError
-from repro.mpsim.ops import Compute, Probe, Send
+from repro.mpsim.ops import Compute, Probe, Recv, Send
 from repro.types import Edge
 from repro.util.rng import BlockSampler
 
-__all__ = ["ConversationMixin"]
+__all__ = ["ConversationMixin", "PROBE_PROTO", "RECV_PROTO"]
+
+#: The serve loop's hot synchronising ops.  Ops are immutable tuples,
+#: so one instance serves every yield.
+PROBE_PROTO = Probe(tag=TAG_PROTO)
+RECV_PROTO = Recv(tag=TAG_PROTO)
 
 
 class ConversationMixin:
@@ -70,6 +75,13 @@ class ConversationMixin:
     ``self.report``, ``self.tracker``, ``self.q`` (partner
     probabilities) and ``self.quota``.
     """
+
+    # Charge ops built once per rank from ``self.cost`` (same float
+    # products as building them per yield, so clocks are unchanged).
+    #: ``Compute(switch_compute)``.
+    switch_op: Compute
+    #: ``check_ops[k] == Compute(check_compute * k)`` for k = 0..4.
+    check_ops: Tuple[Compute, ...]
 
     # These attributes are initialised by the owner class.
     reserved: Set[Edge]
@@ -135,15 +147,21 @@ class ConversationMixin:
         in flight), the quota is exhausted, or the pool runs dry.
 
         Fully local switches (both edges and both replacement edges
-        owned here) complete inline with zero messages.
+        owned here) complete inline with zero messages.  The caller
+        has just probed and found nothing pending.
         """
         me = self.ctx.rank
         aud = self.audit
+        check_ops = self.check_ops
+        probe = False
         while self.quota > 0 and self.active is None:
             # Fairness: a long streak of local switches must not starve
-            # ranks waiting for service from us — serve first.
-            if (yield Probe(tag=TAG_PROTO)):
+            # ranks waiting for service from us — serve first.  The
+            # first iteration runs at the instant of the caller's probe,
+            # so probing again there would only repeat its answer.
+            if probe and (yield PROBE_PROTO):
                 return
+            probe = True
             if self.part.pool_size == 0:
                 # Nothing selectable; if nothing is in flight either,
                 # this step's remaining quota is unfulfillable here.
@@ -164,7 +182,7 @@ class ConversationMixin:
                 self.quota -= 1
                 self.consecutive_failures = 0
                 continue
-            yield Compute(self.cost.switch_compute)
+            yield self.switch_op
             # Edge indices and coins come from vectorised blocks (the
             # sequential hot loop's trick); only the partner pick stays
             # a scalar draw (its weights change every step).
@@ -206,7 +224,7 @@ class ConversationMixin:
                 continue
             groups = self._group_by_owner(proposal.add)
             mine = groups.pop(me, [])
-            yield Compute(self.cost.check_compute * len(mine))
+            yield check_ops[len(mine)]
             if any(self._conflicts(e) for e in mine):
                 self.part.release(e1)
                 self.part.release(e2)
@@ -227,7 +245,7 @@ class ConversationMixin:
                 self.tracker.consume(e2)
                 for e in mine:
                     self.part.add_edge(*e)
-                yield Compute(self.cost.check_compute * 4)
+                yield check_ops[4]
                 self.quota -= 1
                 self.report.switches_completed += 1
                 self.report.local_switches += 1
@@ -267,7 +285,7 @@ class ConversationMixin:
         aud = self.audit
         if aud is not None:
             aud.record("request", msg.conv, f"from={source}")
-        yield Compute(self.cost.switch_compute)
+        yield self.switch_op
         if self.part.pool_size == 0:
             if aud is not None:
                 aud.record("retry", msg.conv, "send empty_pool")
@@ -287,7 +305,7 @@ class ConversationMixin:
             return
         groups = self._group_by_owner(proposal.add)
         mine = groups.pop(me, [])
-        yield Compute(self.cost.check_compute * len(mine))
+        yield self.check_ops[len(mine)]
         if any(self._conflicts(e) for e in mine):
             self.part.release(e2)
             if aud is not None:
@@ -333,7 +351,7 @@ class ConversationMixin:
                 f"{msg.e1}/{msg.e2}: {reason}")
         groups = self._group_by_owner(proposal.add)
         mine = groups.get(me, [])
-        yield Compute(self.cost.check_compute * max(1, len(mine)))
+        yield self.check_ops[max(1, len(mine))]
         if self.dead:
             involved = (set(msg.visited) | set(msg.remaining)
                         | {msg.partner, initiator})
@@ -410,7 +428,7 @@ class ConversationMixin:
         if aud is not None and mine:
             aud.conv_reserve(msg.conv, len(mine))
         self._apply_local(st.checked_out, st.reserved)
-        yield Compute(self.cost.check_compute * 4)
+        yield self.check_ops[4]
         for v in msg.visited:
             yield self._proto(v, Commit(msg.conv))
         # Pipelining: the switch is complete for initiation purposes the
@@ -496,8 +514,7 @@ class ConversationMixin:
         if self.audit is not None:
             self.audit.conv_close(msg.conv, "commit")
         self._apply_local(st.checked_out, st.reserved)
-        yield Compute(
-            self.cost.check_compute * (len(st.checked_out) + len(st.reserved)))
+        yield self.check_ops[len(st.checked_out) + len(st.reserved)]
         if self.audit is not None:
             self.audit.record("commit_ack", msg.conv, "send")
         yield self._proto(msg.conv[0], CommitAck(msg.conv))

@@ -65,18 +65,18 @@ from repro.core.parallel.messages import (
     Validate,
     wire_nbytes,
 )
-from repro.core.parallel.protocol import ConversationMixin
-from repro.core.parallel.state import InitiatorState, RankReport, ServantState
-from repro.core.parallel.transport import (
-    TransportCounters,
-    coalescing_program,
+from repro.core.parallel.protocol import (
+    ConversationMixin,
+    PROBE_PROTO,
+    RECV_PROTO,
 )
+from repro.core.parallel.state import InitiatorState, RankReport, ServantState
 from repro.util.rng import BlockSampler
 from repro.core.visit_rate import VisitTracker
 from repro.errors import ProtocolError
 from repro.mpsim.context import RankContext
 from repro.mpsim.faults import TAG_OBITUARY
-from repro.mpsim.ops import Probe, Recv, Send
+from repro.mpsim.ops import Compute, Probe, Recv, Send
 from repro.rvgen.parallel_multinomial import distribute_switch_counts
 
 __all__ = ["SwitchRank", "switch_rank_program"]
@@ -94,6 +94,10 @@ _HANDLERS = {
 #: reachable when a rank program is built by hand); wall-clock seconds.
 _DEFAULT_TICK = 0.05
 
+#: Fault tolerance probes wildcard: obituaries travel under their own
+#: (negative) tag.
+_PROBE_ANY = Probe()
+
 
 class SwitchRank(ConversationMixin):
     """One rank's complete execution of the parallel edge switch."""
@@ -104,7 +108,10 @@ class SwitchRank(ConversationMixin):
         self.part = args.partition
         self.owner = args.partitioner.owner
         self.config = args.config
-        self.cost = args.config.cost
+        self.cost = cost = args.config.cost
+        self.switch_op = Compute(cost.switch_compute)
+        self.check_ops = tuple(Compute(cost.check_compute * k)
+                               for k in range(5))
         self.failure_limit = args.config.consecutive_failure_limit
         self.report = RankReport(rank=ctx.rank)
         self.tracker = VisitTracker(self.part.edges())
@@ -124,10 +131,12 @@ class SwitchRank(ConversationMixin):
         self.ftcfg = ft
         if ft is not None:
             self.channel = ReliableChannel(ctx.rank, ft)
-            self.ft_tick = ft.tick if ft.tick is not None else _DEFAULT_TICK
+            # The serve loop's timed receive: one "tick" of the channel.
+            self.ft_recv = Recv(
+                timeout=ft.tick if ft.tick is not None else _DEFAULT_TICK)
         else:
             self.channel = None
-            self.ft_tick = None
+            self.ft_recv = None
         self.dead: Set[int] = set()
         self.forfeited_convs = set()
         self.completed_total = [0] * ctx.size
@@ -138,9 +147,6 @@ class SwitchRank(ConversationMixin):
         self.checkpoint_sink = getattr(args, "checkpoint_sink", None)
         self.restore_state = getattr(args, "restore_state", None)
         self.halt_after_step = getattr(args, "halt_after_step", None)
-        # transport (populated by switch_rank_program when coalescing
-        # is on; None keeps the report field empty)
-        self.transport_counters: Optional[TransportCounters] = None
         # conversation state (ConversationMixin contract)
         self.sampler = BlockSampler(ctx.rng)
         self.reserved = set()
@@ -240,14 +246,6 @@ class SwitchRank(ConversationMixin):
         if self.channel is not None:
             yield from self._drain_mailbox()
         self._verify_quiescent()
-        tc = self.transport_counters
-        if tc is not None:
-            # Every send this program will ever yield has passed the
-            # coalescing adapter by now (the ops above resumed us), so
-            # the counters are final.
-            self.report.transport = tc.snapshot()
-            if self.audit is not None:
-                self.audit.record("transport", note=tc.summary())
         if self.audit is not None:
             self.report.audit_events = list(self.audit.recorder.tail())
         return self.report
@@ -269,27 +267,23 @@ class SwitchRank(ConversationMixin):
         self._done_sent_to = None
 
         ft = self.channel is not None
+        probe = _PROBE_ANY if ft else PROBE_PROTO
+        recv = self.ft_recv if ft else RECV_PROTO
         while True:
             yield from self._propagate_done()
             if self.done_all:
                 break
             if self.quota > 0 and self.active is None:
-                # Fault tolerance must probe wildcard: obituaries travel
-                # under their own (negative) tag.
-                pending = yield (Probe() if ft else Probe(tag=TAG_PROTO))
-                if not pending:
+                if not (yield probe):
                     # try_initiate returns when a conversation goes
                     # remote, the quota is exhausted/forfeited, or an
                     # incoming message demands service.
                     yield from self.try_initiate()
                     continue
-            if ft:
-                msg = yield Recv(timeout=self.ft_tick)
-                if msg is None:
-                    yield from self._ft_tick()
-                    continue
-            else:
-                msg = yield Recv(tag=TAG_PROTO)
+            msg = yield recv
+            if msg is None:  # the fault-tolerance tick expired
+                yield from self._ft_tick()
+                continue
             yield from self._dispatch(msg)
         if ft:
             yield from self._ft_finish_step()
@@ -517,7 +511,7 @@ class SwitchRank(ConversationMixin):
         cfg = self.ftcfg
         limit = ch.ticks + cfg.retransmit_after * (cfg.max_retries + 2)
         while ch.pending and ch.ticks < limit:
-            msg = yield Recv(timeout=self.ft_tick)
+            msg = yield self.ft_recv
             if msg is None:
                 yield from self._ft_tick()
                 continue
@@ -594,7 +588,7 @@ class SwitchRank(ConversationMixin):
         no message counts as undelivered at shutdown."""
         drained = 0
         while True:
-            msg = yield Recv(timeout=self.ft_tick)
+            msg = yield self.ft_recv
             if msg is None:
                 break
             drained += 1
@@ -671,24 +665,9 @@ class SwitchRank(ConversationMixin):
 
 
 def switch_rank_program(ctx: RankContext):
-    """Entry point handed to a cluster's ``run``.
-
-    When the config carries an enabled
-    :class:`~repro.core.parallel.transport.TransportConfig`, the rank
-    program runs behind the coalescing adapter: consecutive sends reach
-    the backend as single frames and the per-rank transport counters
-    land in the report.  Otherwise the generator is handed to the
-    backend bare (zero wrapping overhead).
-    """
-    rank = SwitchRank(ctx)
-    tcfg = getattr(rank.config, "transport", None)
-    if tcfg is None or not tcfg.enabled:
-        report = yield from rank.main()
-        return report
-    counters = TransportCounters()
-    rank.transport_counters = counters
-    report = yield from coalescing_program(rank.main(), tcfg, counters)
-    return report
+    """Entry point handed to a cluster's ``run``: the rank's generator
+    itself, with no wrapping frame."""
+    return SwitchRank(ctx).main()
 
 
 def _normalise(counts: List[int]) -> List[float]:

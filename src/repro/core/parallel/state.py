@@ -94,10 +94,6 @@ class RankReport:
     #: Flight-recorder event tail, populated only when auditing is on
     #: (the process backend ships events home through here).
     audit_events: Optional[List] = None
-    #: Coalescing-transport counters (messages, frames, batched
-    #: messages, bytes, flush-reason histogram); ``None`` when the
-    #: coalescing layer is disabled.
-    transport: Optional[Dict] = None
 
     def bump_span(self, ranks_involved: int) -> None:
         self.span_histogram[ranks_involved] = (

@@ -28,7 +28,6 @@ from repro.mpsim.ops import (
     Probe,
     Recv,
     Send,
-    SendBatch,
 )
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.cluster import SimulatedCluster, RunResult
@@ -44,7 +43,6 @@ __all__ = [
     "Probe",
     "Recv",
     "Send",
-    "SendBatch",
     "CostModel",
     "SimulatedCluster",
     "ThreadCluster",

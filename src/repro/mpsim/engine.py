@@ -23,12 +23,6 @@ That last fast path preserves the exact event order: the rank proceeds
 only when ``(clock, rid)`` sorts strictly before the heap top, which
 is precisely the condition under which pushing and immediately popping
 would return the same rank.
-
-:class:`~repro.mpsim.ops.SendBatch` (a coalesced frame of consecutive
-sends) is charged **per part** with exactly the arithmetic of
-individual sends, so a run with transport coalescing enabled produces
-a bit-identical trace to one without it; the batch only saves the
-per-message generator suspensions.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from repro.mpsim.ops import (
     Probe,
     Recv,
     Send,
-    SendBatch,
 )
 from repro.mpsim.trace import RankTrace
 
@@ -61,8 +54,6 @@ _DONE = 3
 
 # Minimum spacing enforcing FIFO per channel.
 _FIFO_EPS = 1e-9
-
-_EMPTY_TUPLE: Tuple = ()
 
 
 class _RankState:
@@ -246,9 +237,7 @@ class SimulationEngine:
                 value = None
                 if inj is not None:
                     # Fault hook fires once per freshly yielded op (ops
-                    # re-examined after a block are not re-counted; a
-                    # SendBatch frame counts as one op, its parts as
-                    # one send each).
+                    # re-examined after a block are not re-counted).
                     action = inj.on_op(op)
                     if action == "crash":
                         self._crash(state)
@@ -262,60 +251,53 @@ class SimulationEngine:
                 trace.compute_time += op.cost
                 op = None
                 continue
-            if kind is Send or kind is SendBatch:
-                parts = op.parts if kind is SendBatch else (op,)
+            if kind is Send:
                 if inj is not None:
-                    for part in parts:
-                        for real in inj.on_send(part):
-                            self._do_send(state, real)
+                    for real in inj.on_send(op):
+                        self._do_send(state, real)
                     op = None
                     continue
                 # Inlined _do_send: identical arithmetic, no per-message
-                # function calls.  Charged per part, so a coalesced
-                # frame leaves the simulated timeline bit-identical to
-                # individual sends.
-                for part in parts:
-                    dest_rid = part.dest
-                    if dest_rid < 0 or dest_rid >= p:
-                        raise SimulationError(
-                            f"rank {rid} sent to invalid rank {dest_rid}"
-                        )
-                    clock = state.clock + send_ovh
-                    state.clock = clock
-                    trace.compute_time += send_ovh
-                    if dead and dest_rid in dead:
-                        # Dead letter: charged to the sender, never
-                        # delivered.
-                        trace.dead_letters += 1
-                        continue
-                    nbytes = part.nbytes
-                    arrival = clock + alpha + beta * nbytes
-                    chan = chan_base + dest_rid
-                    last = fifo_get(chan)
-                    if last is not None and arrival <= last:
-                        arrival = last + _FIFO_EPS
-                    fifo[chan] = arrival
-                    tag = part.tag
-                    msg = Message(rid, tag, part.payload, arrival)
-                    dest = ranks[dest_rid]
-                    dest.mailbox.append(msg)
-                    trace.messages_sent += 1
-                    trace.bytes_sent += nbytes
-                    if dest.status == _BLOCKED_RECV:
-                        ws = dest.want_source
-                        wt = dest.want_tag
-                        if (ws == -1 or ws == rid) and (wt == -1 or wt == tag):
-                            bc = dest.block_clock
-                            wake = arrival if arrival > bc else bc
-                            ddl = dest.deadline
-                            if ddl is None or wake <= ddl:
-                                tk = dest.token + 1
-                                dest.token = tk
-                                heappush(heap, (wake, dest_rid, tk))
-                            # else: the receive's deadline event is
-                            # still the valid token and fires first —
-                            # the receive times out before this message
-                            # arrives.
+                # function calls.
+                dest_rid = op.dest
+                if dest_rid < 0 or dest_rid >= p:
+                    raise SimulationError(
+                        f"rank {rid} sent to invalid rank {dest_rid}"
+                    )
+                clock = state.clock + send_ovh
+                state.clock = clock
+                trace.compute_time += send_ovh
+                if dead and dest_rid in dead:
+                    # Dead letter: charged to the sender, never delivered.
+                    trace.dead_letters += 1
+                    op = None
+                    continue
+                nbytes = op.nbytes
+                arrival = clock + alpha + beta * nbytes
+                chan = chan_base + dest_rid
+                last = fifo_get(chan)
+                if last is not None and arrival <= last:
+                    arrival = last + _FIFO_EPS
+                fifo[chan] = arrival
+                tag = op.tag
+                dest = ranks[dest_rid]
+                dest.mailbox.append(Message(rid, tag, op.payload, arrival))
+                trace.messages_sent += 1
+                trace.bytes_sent += nbytes
+                if dest.status == _BLOCKED_RECV:
+                    ws = dest.want_source
+                    wt = dest.want_tag
+                    if (ws == -1 or ws == rid) and (wt == -1 or wt == tag):
+                        bc = dest.block_clock
+                        wake = arrival if arrival > bc else bc
+                        ddl = dest.deadline
+                        if ddl is None or wake <= ddl:
+                            tk = dest.token + 1
+                            dest.token = tk
+                            heappush(heap, (wake, dest_rid, tk))
+                        # else: the receive's deadline event is still
+                        # the valid token and fires first — the receive
+                        # times out before this message arrives.
                 op = None
                 continue
             # Synchronising ops must resolve at the global minimum time.

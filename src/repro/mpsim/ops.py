@@ -18,7 +18,7 @@ equality.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional, Tuple
+from typing import Any, NamedTuple, Optional
 
 __all__ = [
     "ANY_SOURCE",
@@ -26,7 +26,6 @@ __all__ = [
     "Message",
     "Compute",
     "Send",
-    "SendBatch",
     "Recv",
     "Probe",
     "Collective",
@@ -76,29 +75,6 @@ class Send(NamedTuple):
     tag: int
     payload: Any = None
     nbytes: int = DEFAULT_MSG_BYTES
-
-
-class SendBatch(NamedTuple):
-    """A coalesced transport frame: several :class:`Send` parts handed
-    to the backend as **one** op.
-
-    Produced by the coalescing transport layer
-    (:mod:`repro.core.parallel.transport`) from a run of consecutive
-    ``Send`` yields.  Parts may address different destinations; parts
-    to the same destination stay in yield order, so per-channel FIFO is
-    exactly what it would have been had the parts been yielded
-    individually.
-
-    Backend contract: the receiver-visible messages are identical to
-    yielding the parts one at a time — the batch only changes how many
-    times the transport machinery runs (one DES generator resume / one
-    lock handoff / one pipe pickle per frame instead of per message).
-    On the discrete-event backend the parts are charged per-message
-    exactly as individual sends, so a simulation with coalescing on is
-    bit-identical to one with it off.
-    """
-
-    parts: Tuple[Send, ...]
 
 
 class Recv(NamedTuple):

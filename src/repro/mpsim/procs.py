@@ -61,7 +61,6 @@ from repro.mpsim.ops import (
     Probe,
     Recv,
     Send,
-    SendBatch,
 )
 from repro.mpsim.trace import ClusterTrace, RankTrace
 from repro.util.rng import RngStream
@@ -70,7 +69,6 @@ __all__ = ["ProcessCluster"]
 
 # router <-> worker wire commands
 _MSG = "msg"            # point-to-point payload delivery
-_MSGB = "msgb"          # coalesced frame: a list of point-to-point messages
 _COLL = "coll"          # collective join / result
 _DONE = "done"          # worker finished (value attached)
 _FAIL = "fail"          # worker raised ((type, message, traceback))
@@ -85,11 +83,11 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
     all communication through ``conn`` (a Pipe to the router)."""
     rng = RngStream(seed_material)
     ctx = RankContext(rank, size, rng, args)
-    gen = program(ctx)
     inj = (RankFaultInjector(fault_plan, rank)
            if fault_plan is not None else None)
     mailbox: List[Message] = []
-    trace: Dict[str, Any] = {"sent": 0, "received": 0, "collectives": 0}
+    trace: Dict[str, Any] = {"sent": 0, "bytes": 0, "received": 0,
+                             "collectives": 0}
 
     def pump_until(predicate, deadline_op=None):
         """Pump router frames until ``predicate`` holds.
@@ -112,8 +110,6 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
                 kind, payload = conn.recv()
                 if kind == _MSG:
                     mailbox.append(payload)
-                elif kind == _MSGB:
-                    mailbox.extend(payload)
                 elif kind == _COLL:
                     coll_results.append(payload)
                 elif kind == _STOP:
@@ -127,8 +123,6 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
             kind, payload = conn.recv()
             if kind == _MSG:
                 mailbox.append(payload)
-            elif kind == _MSGB:
-                mailbox.extend(payload)
             elif kind == _COLL:
                 coll_results.append(payload)
             elif kind == _STOP:
@@ -137,22 +131,15 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
     def transmit(op: Send) -> None:
         conn.send((_MSG, (op.dest, Message(rank, op.tag, op.payload, 0.0))))
         trace["sent"] += 1
-
-    def transmit_batch(parts) -> None:
-        """One pickled pipe write for a whole coalesced frame."""
-        if not parts:
-            return
-        if len(parts) == 1:
-            transmit(parts[0])
-            return
-        conn.send((_MSGB, [(op.dest, Message(rank, op.tag, op.payload, 0.0))
-                           for op in parts]))
-        trace["sent"] += len(parts)
+        trace["bytes"] += op.nbytes
 
     coll_results: List[Any] = []
     _blocked_desc = ""
     value: Any = None
     try:
+        # Inside the try: a program that fails while building its
+        # generator is reported like one that fails mid-run.
+        gen = program(ctx)
         while True:
             try:
                 op = gen.send(value)
@@ -189,17 +176,6 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
                         transmit(real)
                 else:
                     transmit(op)
-            elif kind is SendBatch:
-                # Faults stay per logical message: every part passes
-                # through the injector as an individual Send would; the
-                # survivors then share one pickled pipe write.
-                if inj is not None:
-                    real_parts: List[Send] = []
-                    for part in op.parts:
-                        real_parts.extend(inj.on_send(part))
-                    transmit_batch(real_parts)
-                else:
-                    transmit_batch(op.parts)
             elif kind is Recv:
                 def match():
                     return any(m.matches(op.source, op.tag) for m in mailbox)
@@ -287,31 +263,6 @@ class _Router(threading.Thread):
                             self.dead_letters.get(rank, 0) + 1)
                         continue
                     self.conns[dest].send((_MSG, msg))
-                elif kind == _MSGB:
-                    # One inbound pickle for the frame; regroup per
-                    # destination (preserving order) and forward each
-                    # group as one outbound pickle.
-                    groups: Dict[int, List[Message]] = {}
-                    bad = None
-                    for dest, msg in payload:
-                        if not 0 <= dest < self.p:
-                            bad = dest
-                            break
-                        if dest in self.dead:
-                            self.dead_letters[rank] = (
-                                self.dead_letters.get(rank, 0) + 1)
-                            continue
-                        groups.setdefault(dest, []).append(msg)
-                    if bad is not None:
-                        self.failure = ("error",
-                                        f"rank {rank} sent to invalid {bad}")
-                        self._abort(live)
-                        return
-                    for dest, msgs in groups.items():
-                        if len(msgs) == 1:
-                            self.conns[dest].send((_MSG, msgs[0]))
-                        else:
-                            self.conns[dest].send((_MSGB, msgs))
                 elif kind == _COLL:
                     self._join(rank, payload, live)
                     if self.failure:
@@ -516,6 +467,7 @@ class ProcessCluster:
             counters = router.traces.get(rank, {})
             routed_dead = router.dead_letters.get(rank, 0)
             t.messages_sent = max(0, counters.get("sent", 0) - routed_dead)
+            t.bytes_sent = counters.get("bytes", 0)
             t.messages_received = counters.get("received", 0)
             t.collectives = counters.get("collectives", 0)
             t.undelivered = counters.get("undelivered", 0)

@@ -45,7 +45,6 @@ from repro.mpsim.ops import (
     Probe,
     Recv,
     Send,
-    SendBatch,
 )
 from repro.mpsim.trace import ClusterTrace, RankTrace
 from repro.util.rng import spawn_streams
@@ -150,17 +149,6 @@ class _RankThread(threading.Thread):
                         self._send(real)
                 else:
                     self._send(op)
-            elif kind is SendBatch:
-                # Faults stay per logical message: each part runs
-                # through the injector exactly as an individual Send
-                # would, then the survivors share one lock handoff.
-                if inj is not None:
-                    parts: List[Send] = []
-                    for part in op.parts:
-                        parts.extend(inj.on_send(part))
-                    self._send_parts(parts)
-                else:
-                    self._send_parts(op.parts)
             elif kind is Recv:
                 value = self._recv(op)
             elif kind is Probe:
@@ -186,31 +174,6 @@ class _RankThread(threading.Thread):
             sh.mailboxes[op.dest].append(msg)
             sh.conds[op.dest].notify_all()
         self.trace.record_send(op.nbytes)
-
-    def _send_parts(self, parts: Sequence[Send]) -> None:
-        """Deliver a coalesced frame under **one** lock handoff: every
-        part lands in its destination mailbox (yield order per dest, so
-        per-channel FIFO is untouched) and each destination condvar is
-        notified once per frame instead of once per message."""
-        sh = self.shared
-        rank = self.rank
-        trace = self.trace
-        touched = set()
-        with sh.lock:
-            for op in parts:
-                dest = op.dest
-                if not 0 <= dest < sh.p:
-                    raise SimulationError(
-                        f"rank {rank} sent to invalid rank {dest}")
-                if dest in sh.dead:
-                    trace.dead_letters += 1
-                    continue
-                sh.mailboxes[dest].append(
-                    Message(rank, op.tag, op.payload, 0.0))
-                trace.record_send(op.nbytes)
-                touched.add(dest)
-            for dest in touched:
-                sh.conds[dest].notify_all()
 
     def _recv(self, op: Recv) -> Optional[Message]:
         sh = self.shared

@@ -16,7 +16,8 @@ must still conserve the degree sequence exactly.
 import pytest
 
 from repro.core.parallel.driver import parallel_edge_switch
-from repro.core.parallel.ftolerance import FTConfig
+from repro.core.parallel.ftolerance import FTConfig, ReliableChannel
+from repro.core.parallel.messages import Frame
 from repro.errors import DeadlockError, ProtocolAuditError
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.mpsim.faults import FaultPlan
@@ -44,7 +45,7 @@ def check_survivor_invariants(graph, res, t=T):
 
 
 ACCEPTANCE = FaultPlan(seed=1, drop_rate=0.05, duplicate_rate=0.05,
-                       crash_rank=3, crash_at_op=40)
+                       crash_rank=3, crash_at_op=39)
 
 
 class TestAcceptanceScenario:
@@ -79,7 +80,11 @@ class TestPropertyOverSeededPlans:
         assert res.graph.num_edges == graph.num_edges
         assert res.unfulfilled == 0
 
+    # Each plan crashes at two neighbouring ops: the earlier index stops
+    # the rank at the protocol point these plans were first written
+    # for (every send is its own op), the later one a few ops past it.
     @pytest.mark.parametrize("fault_seed,crash_rank,crash_at_op", [
+        (0, 1, 24), (1, 2, 56), (2, 0, 98), (3, 3, 9),
         (0, 1, 25), (1, 2, 60), (2, 0, 100), (3, 3, 10),
     ])
     def test_with_one_crash(self, fault_seed, crash_rank, crash_at_op):
@@ -96,7 +101,7 @@ class TestPropertyOverSeededPlans:
 
     def test_threads_with_crash(self):
         plan = FaultPlan(seed=2, drop_rate=0.04, duplicate_rate=0.04,
-                         crash_rank=1, crash_at_op=30)
+                         crash_rank=1, crash_at_op=29)
         graph, res = run("threads", plan)
         assert res.dead_ranks == [1]
         check_survivor_invariants(graph, res)
@@ -141,3 +146,32 @@ class TestMutationDedupDisabled:
                 graph, RANKS, t=T, step_size=60, seed=2, backend="sim",
                 audit=True, faults=plan,
                 fault_tolerance=FTConfig(dedup=False))
+
+
+class TestBoundedDedup:
+    """Receive-side dedup keeps a per-source low-water mark plus the
+    seqs delivered ahead of it, so its memory is bounded by the
+    reordering window rather than by the number of frames received."""
+
+    def test_in_order_stream_leaves_no_out_of_order_state(self):
+        ch = ReliableChannel(0, FTConfig())
+        for seq in range(10_000):
+            assert ch.accept(1, Frame(seq, seq)) == seq
+        assert ch.low_water[1] == 10_000
+        assert not ch.out_of_order.get(1)
+        assert ch.accept(1, Frame(9_999, "late copy")) is None
+        assert ch.dup_drops == 1
+
+    def test_reordered_duplicated_burst_delivered_exactly_once(self):
+        ch = ReliableChannel(0, FTConfig())
+        burst = [3, 1, 3, 0, 2, 1, 5, 0, 4, 5, 2]
+        delivered = [seq for seq in burst
+                     if ch.accept(7, Frame(seq, seq)) is not None]
+        # The first copy of each seq is delivered, every later one
+        # dropped, whatever the arrival order.
+        assert delivered == [3, 1, 0, 2, 5, 4]
+        assert ch.dup_drops == len(burst) - len(delivered)
+        assert ch.low_water[7] == 6
+        assert not ch.out_of_order[7]
+        # Sources are numbered independently.
+        assert ch.accept(8, Frame(0, "other")) == "other"
