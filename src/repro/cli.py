@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "trace on any protocol violation)")
     sw.add_argument("--stats", action="store_true",
                     help="print per-rank traffic (messages sent and "
-                         "received, bytes sent) after the run")
+                         "received, bytes sent) and, with fault tolerance "
+                         "on, per-rank ticks, retransmits, dup drops and "
+                         "abandoned frames after the run")
     ft = sw.add_argument_group(
         "fault injection / fault tolerance",
         "deterministic faults (seeded, identical on every backend); any "
@@ -144,14 +146,25 @@ def _cmd_switch(args) -> int:
 
 
 def _print_traffic_stats(res) -> None:
-    """Per-rank message traffic from the backend's rank traces
-    (``--stats``)."""
+    """Per-rank message traffic from the backend's rank traces, plus
+    the fault-tolerance counters from the rank reports when the
+    reliable channel was on (``--stats``)."""
     print("traffic (per rank):")
     for rt in res.run.trace.ranks:
         note = " (crashed)" if rt.crashed else ""
         print(f"  rank {rt.rank}: sent {rt.messages_sent} msgs "
               f"({rt.bytes_sent} bytes), received "
               f"{rt.messages_received} msgs{note}")
+    if res.config.fault_tolerance is None:
+        return
+    print("fault tolerance (per rank):")
+    for rank, rep in enumerate(res.reports):
+        if rep is None:
+            print(f"  rank {rank}: crashed")
+            continue
+        print(f"  rank {rank}: {rep.ft_ticks} ticks, {rep.retransmits} "
+              f"retransmits, {rep.dup_drops} dup drops, {rep.abandoned} "
+              "abandoned")
 
 
 def _cmd_scaling(args) -> int:

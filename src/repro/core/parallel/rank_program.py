@@ -142,6 +142,9 @@ class SwitchRank(ConversationMixin):
         self.completed_total = [0] * ctx.size
         self._accounted_dead: Set[int] = set()
         self.done_from: Set[int] = set()
+        #: Ranks a DoneAll copy for the current step arrived from (the
+        #: implicit acknowledgement in ``_ft_finish_step``).
+        self.done_heard: Set[int] = set()
         self._done_sent_to: Optional[int] = None
         # checkpoint/restart (in-process backends only; see driver)
         self.checkpoint_sink = getattr(args, "checkpoint_sink", None)
@@ -245,6 +248,7 @@ class SwitchRank(ConversationMixin):
             self.report.final_edge_list = list(self.part.edges())
         if self.channel is not None:
             yield from self._drain_mailbox()
+            self._report_ft_counters()
         self._verify_quiescent()
         if self.audit is not None:
             self.report.audit_events = list(self.audit.recorder.tail())
@@ -258,12 +262,18 @@ class SwitchRank(ConversationMixin):
         # so the live run must too (see BlockSampler.reset).
         self.sampler.reset()
         self.quota = assigned
+        # Livelock guard, scaled to what this rank can pick from: a
+        # small partition whose edges cannot be switched forfeits after
+        # a few hundred failures instead of the configured ceiling.
+        self.failure_limit = min(self.config.consecutive_failure_limit,
+                                 64 + 16 * self.part.pool_size)
         self.step_forfeited = 0
         self._step_completed_base = self.report.switches_completed
         self.children_done = 0
         self.done_up_sent = False
         self.done_all = False
         self.done_from.clear()
+        self.done_heard.clear()
         self._done_sent_to = None
 
         ft = self.channel is not None
@@ -331,6 +341,7 @@ class SwitchRank(ConversationMixin):
                     yield Send(child, TAG_PROTO, DoneAll(self.step_index),
                                NBYTES[DoneAll])
             else:
+                self.done_heard.add(msg.source)
                 yield from self._ft_flood_done()
             self.done_all = True
             return
@@ -503,14 +514,25 @@ class SwitchRank(ConversationMixin):
     def _ft_finish_step(self):
         """Drain the channel before the step barrier: keep serving acks
         and late frames until nothing this rank sent is outstanding.
-        Bounded: once the window closes, whatever is still unacked is
-        dropped — done-gating proves its payload already arrived (only
-        acks can be missing at this point), or it is a DoneAll flood
-        copy covered by the other flooders."""
+
+        A DoneAll copy received from rank ``r`` this step acknowledges
+        every DoneAll copy sent to ``r``: ``r`` already knows the step
+        is over, and it may have entered the barrier, where it acks
+        nothing.  So the drain ends once the only unacked frames are
+        DoneAll copies to ranks in ``done_heard`` — and no servant
+        entry is left: a conversation served after this rank's DoneUp
+        can still be owed an Abort that DoneAll overtook.  Bounded:
+        once the window closes, whatever is still unacked is dropped —
+        done-gating proves its payload already arrived (only acks can
+        be missing at this point), or it is a DoneAll flood copy
+        covered by the other flooders (see docs/protocol.md)."""
         ch = self.channel
         cfg = self.ftcfg
+        heard = self.done_heard
         limit = ch.ticks + cfg.retransmit_after * (cfg.max_retries + 2)
-        while ch.pending and ch.ticks < limit:
+        while ch.ticks < limit and (self.servant or any(
+                p.dest not in heard or type(p.frame.payload) is not DoneAll
+                for p in ch.pending.values())):
             msg = yield self.ft_recv
             if msg is None:
                 yield from self._ft_tick()
@@ -528,12 +550,20 @@ class SwitchRank(ConversationMixin):
                 yield Send(msg.source, TAG_PROTO, FrameAck(payload.seq),
                            NBYTES[FrameAck])
                 inner = ch.accept(msg.source, payload)
-                if inner is not None and type(inner) is DoneUp:
+                kind = type(inner)
+                if kind is DoneAll and inner.step == self.step_index:
+                    heard.add(msg.source)
+                elif kind is DoneUp:
                     # A rank re-routed its DoneUp here after a root
                     # change; count it in case we are the new root.
                     self.done_from.add(msg.source)
+                elif kind is Abort:
+                    # We served a conversation after our DoneUp and its
+                    # Abort lost the race with DoneAll (a dropped first
+                    # copy); the servant entry waits for it here.
+                    yield from self.handle_abort(msg.source, inner)
                 # Anything else new can only be termination noise —
-                # every protocol payload was delivered before DoneAll
+                # every other payload was delivered before DoneAll
                 # existed (done-gating) — so it is consumed here.
         dropped = ch.clear_pending()
         if dropped and self.audit is not None:
@@ -583,6 +613,11 @@ class SwitchRank(ConversationMixin):
         stop = completed_this == 0 and step_quota > 0
         return remaining, counts, stop
 
+    def _report_ft_counters(self) -> None:
+        ch, rep = self.channel, self.report
+        rep.ft_ticks, rep.retransmits, rep.dup_drops, rep.abandoned = (
+            ch.ticks, ch.retransmits, ch.dup_drops, ch.abandoned)
+
     def _drain_mailbox(self):
         """Consume leftover retransmissions after the final barrier so
         no message counts as undelivered at shutdown."""
@@ -608,6 +643,8 @@ class SwitchRank(ConversationMixin):
         (``ReducedAdjacencyGraph.restore_pool``).  Nothing sorts here:
         canonical ordering is a verification-time concern
         (``edge_list`` in tests), not a snapshot one."""
+        if self.channel is not None:
+            self._report_ft_counters()
         part = self.part
         return {
             "edges": part._edges,
@@ -634,7 +671,13 @@ class SwitchRank(ConversationMixin):
         self.ctx.rng.set_state(state["rng"])
         self.serial = state["serial"]
         self.consecutive_failures = state["consecutive_failures"]
-        self.report = state["report"]
+        self.report = rep = state["report"]
+        ch = self.channel
+        if ch is not None:
+            # Counters carry on from the snapshot; the channel holds no
+            # frames at a step boundary, so its tick clock may jump.
+            ch.ticks, ch.retransmits, ch.dup_drops, ch.abandoned = (
+                rep.ft_ticks, rep.retransmits, rep.dup_drops, rep.abandoned)
         self.step_index = state["step_index"]
         self.completed_total = list(state["completed_total"])
         return state["remaining"]

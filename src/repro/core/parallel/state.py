@@ -91,6 +91,13 @@ class RankReport:
     #: the step guard or an all-forfeit step stopped the run early —
     #: previously this shortfall was silently dropped.
     unfulfilled: int = 0
+    #: Fault-tolerance channel counters (all zero when it is off):
+    #: serve-loop ticks waited out, frames retransmitted, duplicate
+    #: frames suppressed, and frames given up after ``max_retries``.
+    ft_ticks: int = 0
+    retransmits: int = 0
+    dup_drops: int = 0
+    abandoned: int = 0
     #: Flight-recorder event tail, populated only when auditing is on
     #: (the process backend ships events home through here).
     audit_events: Optional[List] = None

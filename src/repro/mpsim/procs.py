@@ -42,6 +42,7 @@ import multiprocessing as mp
 import threading
 import time as _time
 import traceback as _traceback
+from multiprocessing.connection import wait as _wait
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError, WorkerError
@@ -224,6 +225,7 @@ class _Router(threading.Thread):
     def __init__(self, conns, p: int, recv_timeout: float):
         super().__init__(name="mpsim-router", daemon=True)
         self.conns = conns
+        self.rank_of = {conn: rank for rank, conn in enumerate(conns)}
         self.p = p
         self.recv_timeout = recv_timeout
         self.done: Dict[int, Any] = {}
@@ -240,51 +242,59 @@ class _Router(threading.Thread):
     def run(self) -> None:
         live = set(range(self.p))
         while live:
-            for rank in list(live):
-                if rank not in live:
-                    continue
-                conn = self.conns[rank]
-                if not conn.poll(0.01):
-                    continue
-                try:
-                    kind, payload = conn.recv()
-                except EOFError:
-                    live.discard(rank)
-                    continue
-                if kind == _MSG:
-                    dest, msg = payload
-                    if not 0 <= dest < self.p:
-                        self.failure = ("error",
-                                        f"rank {rank} sent to invalid {dest}")
-                        self._abort(live)
+            conns = [self.conns[r] for r in sorted(live)]
+            # Non-blocking sweep first (cheap when traffic is dense);
+            # block on all live pipes at once only when none is ready.
+            ready = [c for c in conns if c.poll(0)] or _wait(conns)
+            for conn in ready:
+                rank = self.rank_of[conn]
+                # Drain in arrival order: per-pair FIFO holds.
+                while rank in live and conn.poll(0):
+                    if not self._route(rank, conn, live):
                         return
-                    if dest in self.dead:
-                        self.dead_letters[rank] = (
-                            self.dead_letters.get(rank, 0) + 1)
-                        continue
-                    self.conns[dest].send((_MSG, msg))
-                elif kind == _COLL:
-                    self._join(rank, payload, live)
-                    if self.failure:
-                        self._abort(live)
-                        return
-                elif kind == _DONE:
-                    value, trace = payload
-                    self.done[rank] = value
-                    self.traces[rank] = trace
-                    live.discard(rank)
-                elif kind == _CRASH:
-                    self.traces[rank] = payload
-                    live.discard(rank)
-                    self._rank_died(rank, live)
-                elif kind == _FAIL:
-                    tname, msg, tb = payload
-                    if tname == "DeadlockError":
-                        self._collect_deadlock(rank, msg, live)
-                    else:
-                        self.failure = ("fail", rank, tname, msg, tb)
-                    self._abort(live)
-                    return
+
+    def _route(self, rank: int, conn, live) -> bool:
+        """Handle one frame from ``rank``; False once the run failed
+        (the workers have been told to stop)."""
+        try:
+            kind, payload = conn.recv()
+        except EOFError:
+            live.discard(rank)
+            return True
+        if kind == _MSG:
+            dest, msg = payload
+            if not 0 <= dest < self.p:
+                self.failure = ("error",
+                                f"rank {rank} sent to invalid {dest}")
+                self._abort(live)
+                return False
+            if dest in self.dead:
+                self.dead_letters[rank] = self.dead_letters.get(rank, 0) + 1
+            else:
+                self.conns[dest].send((_MSG, msg))
+        elif kind == _COLL:
+            self._join(rank, payload, live)
+            if self.failure:
+                self._abort(live)
+                return False
+        elif kind == _DONE:
+            value, trace = payload
+            self.done[rank] = value
+            self.traces[rank] = trace
+            live.discard(rank)
+        elif kind == _CRASH:
+            self.traces[rank] = payload
+            live.discard(rank)
+            self._rank_died(rank, live)
+        elif kind == _FAIL:
+            tname, msg, tb = payload
+            if tname == "DeadlockError":
+                self._collect_deadlock(rank, msg, live)
+            else:
+                self.failure = ("fail", rank, tname, msg, tb)
+            self._abort(live)
+            return False
+        return True
 
     # -- faults ---------------------------------------------------------
 
@@ -308,13 +318,13 @@ class _Router(threading.Thread):
         reports = {rank: desc}
         live.discard(rank)
         grace = _time.monotonic() + min(2.0, self.recv_timeout)
-        while live and _time.monotonic() < grace:
-            got = False
-            for r in list(live):
-                conn = self.conns[r]
-                if not conn.poll(0.02):
-                    continue
-                got = True
+        while live:
+            ready = _wait([self.conns[r] for r in sorted(live)],
+                          max(0.0, grace - _time.monotonic()))
+            if not ready:
+                break  # grace window closed
+            for conn in ready:
+                r = self.rank_of[conn]
                 try:
                     kind, payload = conn.recv()
                 except EOFError:
@@ -329,8 +339,6 @@ class _Router(threading.Thread):
                     self.traces[r] = trace
                     live.discard(r)
                 # _MSG/_COLL frames can no longer make progress; drop.
-            if not got and len(reports) + len(self.done) >= self.p:
-                break
         lines = [f"rank {r} waiting for {what}"
                  for r, what in sorted(reports.items())]
         for r in sorted(live):

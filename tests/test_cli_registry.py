@@ -65,6 +65,19 @@ class TestCli:
         assert sum(int(r[3]) for r in rows) == sent
         assert sum(int(r[2]) for r in rows) >= sent
 
+    def test_switch_stats_prints_ft_counters(self, capsys):
+        rc = main(["switch", "--dataset", "erdos_renyi", "--ranks", "4",
+                   "--scheme", "hp-u", "--switches", "200", "--stats",
+                   "--fault-tolerance"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "fault tolerance (per rank):" in out
+        rows = re.findall(r"rank (\d+): (\d+) ticks, (\d+) retransmits, "
+                          r"(\d+) dup drops, (\d+) abandoned", out)
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        # Nothing is lost on a fault-free run, so nothing is resent.
+        assert all(r[2] == r[4] == "0" for r in rows)
+
     def test_scaling_command(self, capsys):
         rc = main(["scaling", "--dataset", "erdos_renyi", "--ranks", "1,4",
                    "--switches", "300"])

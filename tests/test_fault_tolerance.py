@@ -107,6 +107,23 @@ class TestPropertyOverSeededPlans:
         check_survivor_invariants(graph, res)
 
 
+class TestTerminationRaces:
+    def test_abort_overtaken_by_done_all_still_lands(self):
+        """Rank 2 serves conversation (0, 10) after its DoneUp.  Rank 3
+        rejects it and sends rank 2 an Abort, which the fault plan
+        holds back, while rank 0 takes the Retry, finishes and
+        broadcasts DoneAll.  The Abort then reaches rank 2 after
+        DoneAll.  The end-of-step drain must apply it rather than
+        discard it, or the servant entry leaks past the step."""
+        graph = erdos_renyi_gnm(50, 140, RngStream(7))
+        plan = FaultPlan(seed=149, drop_rate=0.12, duplicate_rate=0.1,
+                         delay_rate=0.1, crash_rank=1, crash_at_op=66)
+        res = parallel_edge_switch(graph, 4, t=240, step_size=30, seed=149,
+                                   audit=True, faults=plan)
+        assert res.dead_ranks == [1]
+        check_survivor_invariants(graph, res, t=240)
+
+
 class TestReliableChannelBaseline:
     def test_ft_armed_without_faults_preserves_invariants(self):
         """The reliable channel (framing + acks + dedup) must deliver

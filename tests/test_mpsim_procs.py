@@ -3,6 +3,8 @@
 Programs must be module-level (pickled into children).
 """
 
+import time
+
 import pytest
 
 from repro.errors import SimulationError
@@ -48,6 +50,26 @@ def crash_program(ctx):
     return msg
 
 
+def far_ping_pong_program(ctx):
+    """Ranks 0 and 3 bounce a message 200 times while ranks 1 and 2
+    sit silent in the closing barrier; rank 0 returns the loop's wall
+    time."""
+    elapsed = None
+    if ctx.rank in (0, 3):
+        peer = 3 - ctx.rank
+        start = time.perf_counter()
+        for i in range(200):
+            if ctx.rank == 0:
+                yield from ctx.send(peer, 1, i)
+                yield from ctx.recv(source=peer, tag=1)
+            else:
+                msg = yield from ctx.recv(source=peer, tag=1)
+                yield from ctx.send(peer, 1, msg.payload)
+        elapsed = time.perf_counter() - start
+    yield from ctx.barrier()
+    return elapsed
+
+
 def mismatch_program(ctx):
     if ctx.rank == 0:
         yield from ctx.barrier()
@@ -79,6 +101,14 @@ class TestProcessCluster:
     def test_child_exception_surfaces(self):
         with pytest.raises(SimulationError, match="child exploded"):
             ProcessCluster(3, seed=4, join_timeout=30.0).run(crash_program)
+
+    def test_router_forwards_without_polling_idle_ranks(self):
+        # Each hop must cost a pipe wake-up, not a sweep of timed polls
+        # over the silent ranks' pipes.
+        res = ProcessCluster(4, seed=6, join_timeout=60.0).run(
+            far_ping_pong_program)
+        assert res.values[0] < 2.0
+        assert res.trace.total_messages == 400
 
     def test_collective_mismatch_detected(self):
         with pytest.raises(SimulationError, match="mismatch"):
