@@ -125,7 +125,7 @@ def test_bench_procs_cross_rank_parallel_switch(benchmark):
     Two ranks under HP-U hash partitioning: roughly half of all switch
     partners are remote, so nearly every operation crosses the pipe.
     Fault tolerance is on, so every protocol message also costs a
-    frame ack through the router."""
+    frame ack over the pipe between the two ranks."""
     g = erdos_renyi_gnm(300, 1200, RngStream(6))
     res = benchmark.pedantic(
         lambda: parallel_edge_switch(

@@ -60,6 +60,25 @@ def crash_witness_program(ctx):
     return (tuple(obituaries), tuple(values))
 
 
+def last_words_program(ctx):
+    """Rank 1 sends one message to rank 0 and crashes at its next op.
+    Rank 0 reads everything rank 1 ever sent, up to its obituary, then
+    sends three messages to the dead rank.  Rank 2 has nothing to do."""
+    if ctx.rank == 1:
+        yield from ctx.send(0, 3, "last words")
+        yield from ctx.compute(1.0)  # the plan crashes rank 1 here
+        return None
+    if ctx.rank == 2:
+        return None
+    tags = []
+    while not tags or tags[-1] != TAG_OBITUARY:
+        msg = yield from ctx.recv(source=1)
+        tags.append(msg.tag)
+    for i in range(3):
+        yield from ctx.send(1, 4, i)
+    return tuple(tags)
+
+
 def timed_recv_program(ctx):
     """A recv with a timeout and no sender returns None instead of
     deadlocking."""
@@ -176,6 +195,21 @@ class TestCrash:
             # dead-tolerant allgather: None at the dead slot
             assert gathered[1] is None
             assert gathered[rank] == rank
+
+    @pytest.mark.parametrize("make", [
+        lambda plan: SimulatedCluster(3, seed=4, faults=plan),
+        lambda plan: ThreadCluster(3, seed=4, faults=plan),
+        lambda plan: ProcessCluster(3, seed=4, faults=plan),
+    ], ids=["sim", "threads", "procs"])
+    def test_obituary_follows_last_message_and_sends_become_dead_letters(
+            self, make):
+        plan = FaultPlan(seed=0, crash_rank=1, crash_at_op=2)
+        res = make(plan).run(last_words_program)
+        assert res.trace.crashed_ranks == [1]
+        assert res.values[0] == (3, TAG_OBITUARY)
+        rank0 = res.trace.ranks[0]
+        assert rank0.dead_letters == 3
+        assert rank0.messages_sent == 0
 
 
 class TestTimedRecv:

@@ -3,11 +3,13 @@
 Programs must be module-level (pickled into children).
 """
 
+import os
 import time
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkerError
+from repro.mpsim.faults import FaultPlan
 from repro.mpsim.procs import ProcessCluster
 
 
@@ -70,6 +72,67 @@ def far_ping_pong_program(ctx):
     return elapsed
 
 
+MESH_ROUNDS = 25
+
+
+def mesh_order_program(ctx):
+    """Every rank sends numbered messages to every other rank, one
+    round across all destinations at a time, and takes the same number
+    back with any-source receives in between.  Then every rank sends
+    one message to each peer before a barrier and iprobes each of them
+    right after it.  Returns (per-sender order kept, probe flags)."""
+    peers = [r for r in range(ctx.size) if r != ctx.rank]
+    expected = dict.fromkeys(peers, 0)
+    in_order = True
+    for i in range(MESH_ROUNDS):
+        for dest in peers:
+            yield from ctx.send(dest, 1, i)
+        for _ in peers:
+            msg = yield from ctx.recv(tag=1)
+            in_order &= msg.payload == expected[msg.source]
+            expected[msg.source] += 1
+    for dest in peers:
+        yield from ctx.send(dest, 2, ctx.rank)
+    yield from ctx.barrier()
+    flags = []
+    for src in peers:
+        flag = yield from ctx.iprobe(source=src, tag=2)
+        flags.append(flag)
+    for src in peers:
+        msg = yield from ctx.recv(source=src, tag=2)
+        in_order &= msg.payload == src
+    return (in_order, tuple(flags))
+
+
+def killed_worker_program(ctx):
+    """Rank 1 dies after the barrier without a word to anyone."""
+    yield from ctx.barrier()
+    if ctx.rank == 1:
+        os._exit(3)
+    msg = yield from ctx.recv()
+    return msg
+
+
+def blind_sender_program(ctx):
+    """Rank 0 sends five messages to rank 1 without reading anything
+    first, so it cannot know whether rank 1 is still alive."""
+    if ctx.rank == 0:
+        for i in range(5):
+            yield from ctx.send(1, 4, i)
+    yield from ctx.barrier()
+    return None
+
+
+def late_sender_program(ctx):
+    """Rank 1 returns at once; rank 0 then sends it two messages."""
+    if ctx.rank == 1:
+        return None
+    yield from ctx.compute(0.0)
+    for i in range(2):
+        yield from ctx.send(1, 4, i)
+    return None
+
+
 def mismatch_program(ctx):
     if ctx.rank == 0:
         yield from ctx.barrier()
@@ -109,6 +172,40 @@ class TestProcessCluster:
             far_ping_pong_program)
         assert res.values[0] < 2.0
         assert res.trace.total_messages == 400
+
+    def test_mesh_keeps_pair_order_and_probe_after_barrier(self):
+        # p = 4: all six rank pairs carry traffic both ways at once.
+        res = ProcessCluster(4, seed=9, join_timeout=60.0).run(
+            mesh_order_program)
+        assert res.values == [(True, (True, True, True))] * 4
+        assert res.trace.total_messages == 4 * 3 * (MESH_ROUNDS + 1)
+        assert res.trace.total_undelivered == 0
+
+    def test_killed_worker_fails_the_run(self):
+        # A worker that dies without reporting must not leave the run
+        # waiting for the join timeout.
+        start = time.monotonic()
+        with pytest.raises(WorkerError, match="rank 1 .*exit code 3"):
+            ProcessCluster(3, seed=8, join_timeout=30.0).run(
+                killed_worker_program)
+        assert time.monotonic() - start < 10.0
+
+    def test_sends_read_by_a_crashed_rank_are_dead_letters(self):
+        # Rank 1 crashes at its first op and never reads; its worker
+        # drains the five frames as a sink, and they are charged to
+        # rank 0 as dead letters, not as messages sent.
+        plan = FaultPlan(seed=0, crash_rank=1, crash_at_op=1)
+        res = ProcessCluster(3, seed=10, faults=plan).run(
+            blind_sender_program)
+        assert res.trace.crashed_ranks == [1]
+        assert res.trace.ranks[0].dead_letters == 5
+        assert res.trace.ranks[0].messages_sent == 0
+        assert res.trace.total_undelivered == 0
+
+    def test_sends_to_a_finished_rank_are_undelivered(self):
+        res = ProcessCluster(2, seed=11).run(late_sender_program)
+        assert res.trace.ranks[0].messages_sent == 2
+        assert res.trace.ranks[1].undelivered == 2
 
     def test_collective_mismatch_detected(self):
         with pytest.raises(SimulationError, match="mismatch"):
