@@ -133,7 +133,7 @@ class RankContext:
 
 
 def reduce_values(values: List[Any], op: str) -> Any:
-    """Shared reduction used by both backends for ``allreduce``.
+    """Shared reduction used by all three backends for ``allreduce``.
 
     Supports scalars and equal-length sequences (elementwise).
     """

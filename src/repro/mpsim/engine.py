@@ -28,12 +28,16 @@ would return the same rank.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.mpsim.context import RankContext, reduce_values
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.faults import RankFaultInjector, RankObituary, TAG_OBITUARY
+from repro.mpsim.interpreter import (
+    CollectiveTable,
+    CompletedCollective,
+    settle_trace,
+)
 from repro.mpsim.ops import (
     Collective,
     Compute,
@@ -61,8 +65,8 @@ class _RankState:
 
     __slots__ = (
         "rid", "gen", "clock", "status", "mailbox", "want_source",
-        "want_tag", "block_clock", "deadline", "token", "coll_seq",
-        "resume_value", "pending_op", "value", "trace",
+        "want_tag", "block_clock", "deadline", "token", "resume_value",
+        "pending_op", "value", "trace",
     )
 
     def __init__(self, rid: int, gen: Generator):
@@ -77,7 +81,6 @@ class _RankState:
         #: Virtual time at which a timed Recv gives up (None = forever).
         self.deadline: Optional[float] = None
         self.token = 0
-        self.coll_seq = 0
         self.resume_value: Any = None
         self.pending_op: Any = None
         self.value: Any = None
@@ -103,14 +106,13 @@ class SimulationEngine:
         self._heap: List[Tuple[float, int, int]] = []
         #: Last arrival per FIFO channel, keyed ``source * p + dest``.
         self._fifo_last: Dict[int, float] = {}
-        self._coll_slots: Dict[int, Dict[int, Tuple[Collective, float]]] = {}
+        self.collectives = CollectiveTable(self.p)
         self._finished = 0
         self._events = 0
         if injectors is not None and len(injectors) != self.p:
             raise SimulationError(
                 f"{len(injectors)} fault injectors for {self.p} ranks")
         self.injectors = injectors
-        self.dead: Set[int] = set()
 
     # -- public ---------------------------------------------------------
 
@@ -146,20 +148,9 @@ class SimulationEngine:
                 raise SimulationError(
                     f"rank {rid}: unexpected event while blocked on a collective"
                 )
-        for st in self.ranks:
-            if st.trace.crashed:
-                # A dead rank's leftovers are casualties, not protocol
-                # leaks; obituaries are backend-generated, not protocol
-                # traffic, so they do not count either.
-                st.trace.dead_letters += len(st.mailbox)
-                st.trace.undelivered = 0
-            else:
-                st.trace.undelivered = sum(
-                    1 for m in st.mailbox if m.tag != TAG_OBITUARY)
-        if self.injectors is not None:
-            for st, inj in zip(self.ranks, self.injectors):
-                st.trace.faults_injected = len(inj.events)
-                st.trace.fault_events = list(inj.events)
+        injectors = self.injectors or [None] * self.p
+        for st, inj in zip(self.ranks, injectors):
+            settle_trace(st.trace, st.mailbox, inj)
         return max(st.trace.finish_time for st in self.ranks)
 
     def values(self) -> List[Any]:
@@ -202,7 +193,7 @@ class SimulationEngine:
         rid = state.rid
         chan_base = rid * p
         ranks = self.ranks
-        dead = self.dead
+        dead = self.collectives.dead
         fifo = self._fifo_last
         fifo_get = fifo.get
         heap = self._heap
@@ -219,12 +210,6 @@ class SimulationEngine:
                 try:
                     op = gen_send(value)
                 except StopIteration as stop:
-                    if inj is not None:
-                        # A message still held by the "network" when
-                        # its sender exits is lost, not delivered: the
-                        # receivers may already be gone, and a reliable
-                        # sender has long since retransmitted it.
-                        state.trace.dead_letters += len(inj.flush())
                     state.status = _DONE
                     state.value = stop.value
                     state.trace.finish_time = state.clock
@@ -362,7 +347,7 @@ class SimulationEngine:
         cm = self.cm
         state.clock += cm.send_overhead
         state.trace.record_compute(cm.send_overhead)
-        if op.dest in self.dead:
+        if op.dest in self.collectives.dead:
             # Dead letter: charged to the sender, never delivered.
             state.trace.dead_letters += 1
             return
@@ -472,48 +457,24 @@ class SimulationEngine:
     # -- collectives -------------------------------------------------------------
 
     def _join_collective(self, state: _RankState, op: Collective) -> None:
-        seq = state.coll_seq
-        state.coll_seq += 1
-        slot = self._coll_slots.setdefault(seq, {})
-        if slot:
-            first_op = next(iter(slot.values()))[0]
-            if first_op.kind != op.kind or first_op.root != op.root:
-                raise SimulationError(
-                    f"collective mismatch at seq {seq}: rank {state.rid} "
-                    f"issued {op.kind!r}, others issued {first_op.kind!r}"
-                )
-        if state.rid in slot:
-            raise SimulationError(
-                f"rank {state.rid} joined collective seq {seq} twice"
-            )
-        slot[state.rid] = (op, state.clock)
         state.status = _BLOCKED_COLL
         state.trace.record_collective()
-        if len(slot) == self.p - len(self.dead):
-            self._finish_collective(seq, slot)
+        done = self.collectives.join(state.rid, op)
+        if done is not None:
+            self._finish_collective(done)
 
-    def _finish_collective(
-        self, seq: int, slot: Dict[int, Tuple[Collective, float]]
-    ) -> None:
-        any_op = next(iter(slot.values()))[0]
-        arrive = max(clock for _, clock in slot.values())
-        nbytes = max(op.nbytes for op, _ in slot.values())
-        t_done = arrive + self.cm.collective_time(any_op.kind, self.p, nbytes)
-        values = [slot[r][0].value if r in slot else None
-                  for r in range(self.p)]
-        if self.dead:
-            results = _collective_results_live(
-                any_op.kind, any_op.root, any_op.op, values, self.p,
-                self.dead)
-        else:
-            results = _collective_results(
-                any_op.kind, any_op.root, any_op.op, values, self.p)
-        del self._coll_slots[seq]
-        for rid in slot:
-            st = self.ranks[rid]
+    def _finish_collective(self, done: CompletedCollective) -> None:
+        # A blocked rank's clock stays where it joined.
+        ranks = self.ranks
+        arrive = max(ranks[r].clock for r in done.members)
+        nbytes = max(op.nbytes for op in done.members.values())
+        kind = next(iter(done.members.values())).kind
+        t_done = arrive + self.cm.collective_time(kind, self.p, nbytes)
+        for rid, result in done.results.items():
+            st = ranks[rid]
             st.clock = t_done
             st.status = _READY
-            st.resume_value = results[rid]
+            st.resume_value = result
             self._push(st, t_done)
 
     # -- faults ------------------------------------------------------------
@@ -528,7 +489,6 @@ class SimulationEngine:
         state.trace.crashed = True
         state.trace.finish_time = state.clock
         self._finished += 1
-        self.dead.add(rid)
         obit = RankObituary(rid)
         cm = self.cm
         for st in self.ranks:
@@ -547,69 +507,5 @@ class SimulationEngine:
                 wake = max(st.block_clock, arrival)
                 if st.deadline is None or wake <= st.deadline:
                     self._push(st, wake)
-        for seq, slot in sorted(list(self._coll_slots.items())):
-            if slot and len(slot) >= self.p - len(self.dead):
-                self._finish_collective(seq, slot)
-
-
-def _collective_results(
-    kind: str, root: int, redop: str, values: List[Any], p: int
-) -> List[Any]:
-    """Per-rank results of a completed collective (shared with the
-    threads backend)."""
-    if kind == "barrier":
-        return [None] * p
-    if kind == "allgather":
-        return [list(values) for _ in range(p)]
-    if kind == "allreduce":
-        reduced = reduce_values(values, redop)
-        return [reduced] * p
-    if kind == "bcast":
-        return [values[root]] * p
-    if kind == "gather":
-        return [list(values) if r == root else None for r in range(p)]
-    if kind == "scatter":
-        seq = values[root]
-        if seq is None or len(seq) != p:
-            raise SimulationError(
-                f"scatter root must supply exactly {p} values"
-            )
-        return list(seq)
-    if kind == "alltoall":
-        for v in values:
-            if v is None or len(v) != p:
-                raise SimulationError(
-                    f"alltoall requires {p} values from every rank"
-                )
-        return [[values[j][i] for j in range(p)] for i in range(p)]
-    raise SimulationError(f"unknown collective kind {kind!r}")
-
-
-def _collective_results_live(
-    kind: str, root: int, redop: str, values: List[Any], p: int, dead
-) -> List[Any]:
-    """Collective results when some ranks are dead (fail-stop runs).
-
-    ``values`` has ``None`` at dead slots.  Only the kinds the
-    switching protocol uses are dead-tolerant: a barrier completes over
-    the survivors, an allgather keeps ``None`` at dead slots (so every
-    survivor observes the same death consensus), an allreduce reduces
-    the live values, and a bcast works while its root lives.  The
-    remaining kinds have no sensible partial semantics and fail loudly.
-    """
-    if kind == "barrier":
-        return [None] * p
-    if kind == "allgather":
-        return [list(values) for _ in range(p)]
-    if kind == "allreduce":
-        live_values = [v for r, v in enumerate(values) if r not in dead]
-        reduced = reduce_values(live_values, redop)
-        return [reduced] * p
-    if kind == "bcast":
-        if root in dead:
-            raise SimulationError(
-                f"bcast root rank {root} is dead")
-        return [values[root]] * p
-    raise SimulationError(
-        f"collective kind {kind!r} is not dead-tolerant "
-        f"(dead ranks: {sorted(dead)})")
+        for done in self.collectives.rank_died(rid):
+            self._finish_collective(done)

@@ -101,7 +101,7 @@ class Probe(NamedTuple):
     tag: int = ANY_TAG
 
 
-#: Collective kinds understood by both backends.
+#: Collective kinds understood by all three backends.
 COLLECTIVE_KINDS = (
     "barrier",
     "allgather",

@@ -15,10 +15,12 @@ sender to receiver in one pipe transfer (per-pair FIFO is the pipe's
 order; the receiver takes the source from the pipe a frame came in
 on).  Each worker also has a control pipe to a router thread in the
 parent, which never sees point-to-point traffic: it sequences
-collectives with the same result semantics as the other backends
-(:func:`repro.mpsim.engine._collective_results`), collects results and
-failures, and ends the run.  A worker waits on all of its pipes at
-once in one ``poll`` selector.
+collectives in the :class:`~repro.mpsim.interpreter.CollectiveTable`
+the other backends use, collects results and failures, and ends the
+run.  A worker runs the op loop shared with the threads backend
+(:func:`~repro.mpsim.interpreter.run_ops`) and waits on all of its
+pipes at once in one ``poll`` selector; it ships its
+:class:`~repro.mpsim.trace.RankTrace` to the parent when it ends.
 
 Fault injection mirrors the other backends: each worker builds its own
 :class:`~repro.mpsim.faults.RankFaultInjector` from the (pickled)
@@ -51,8 +53,8 @@ on the control pipes, which the router thread keeps reading.
 
 Use small rank counts (≤ 8): process startup dominates, and the mesh
 holds p(p+1) socket ends in all — p in each worker and p in the
-parent, 72 at p = 8.  ``Compute`` is a no-op; ``sim_time`` reports
-wall-clock seconds.
+parent, 72 at p = 8.  ``Compute`` only adds to the rank's
+``compute_time``; ``sim_time`` reports wall-clock seconds.
 """
 
 from __future__ import annotations
@@ -68,21 +70,19 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import DeadlockError, SimulationError, WorkerError
 from repro.mpsim.cluster import RunResult
 from repro.mpsim.context import RankContext, RankProgram
-from repro.mpsim.engine import _collective_results, _collective_results_live
 from repro.mpsim.faults import (
     FaultPlan,
     RankFaultInjector,
     RankObituary,
     TAG_OBITUARY,
 )
-from repro.mpsim.ops import (
-    Collective,
-    Compute,
-    Message,
-    Probe,
-    Recv,
-    Send,
+from repro.mpsim.interpreter import (
+    CollectiveTable,
+    CompletedCollective,
+    run_ops,
+    settle_trace,
 )
+from repro.mpsim.ops import Collective, Message, Probe, Recv, Send
 from repro.mpsim.trace import ClusterTrace, RankTrace
 from repro.util.rng import RngStream
 
@@ -101,40 +101,34 @@ _LATE = "late"          # sink's arrivals after _DONE/_CRASH, per source
 _CONTROL = -1
 
 
-def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
-                 seed_material: Tuple, ctl, links: Dict[int, Any],
-                 foreign: List, recv_timeout: float,
-                 fault_plan: Optional[FaultPlan]) -> None:
-    """Child-process body: interpret the rank program's ops.
+class _WorkerPort:
+    """A worker's half of :func:`run_ops`: a pipe per peer and a
+    control pipe to the router, all waited on in one poll selector.
 
     ``links`` maps each peer rank to this worker's end of their pipe;
-    ``ctl`` is the control pipe to the router; ``foreign`` holds the
-    inherited pipe ends of other processes, closed here so that a dead
-    process's pipes reach EOF.
+    ``ctl`` is the control pipe to the router.
     """
-    for conn in foreign:
-        conn.close()
-    rng = RngStream(seed_material)
-    ctx = RankContext(rank, size, rng, args)
-    inj = (RankFaultInjector(fault_plan, rank)
-           if fault_plan is not None else None)
-    sel = selectors.PollSelector()
-    sel.register(ctl, selectors.EVENT_READ, _CONTROL)
-    for src, conn in links.items():
-        sel.register(conn, selectors.EVENT_READ, src)
-    select = sel.select
-    mailbox: List[Message] = []
-    coll_results: List[Any] = []
-    #: peers known dead: obituary read, or pipe closed
-    dead: Set[int] = set()
-    trace: Dict[str, Any] = {"sent": 0, "bytes": 0, "received": 0,
-                             "collectives": 0, "dead_letters": 0}
-    monotonic = _time.monotonic
 
-    def pull(timeout) -> bool:
+    def __init__(self, rank: int, ctl, links: Dict[int, Any],
+                 recv_timeout: float, trace: RankTrace):
+        self.rank = rank
+        self.ctl = ctl
+        self.links = links
+        self.recv_timeout = recv_timeout
+        self.trace = trace
+        self.sel = selectors.PollSelector()
+        self.sel.register(ctl, selectors.EVENT_READ, _CONTROL)
+        for src, conn in links.items():
+            self.sel.register(conn, selectors.EVENT_READ, src)
+        self.mailbox: List[Message] = []
+        self.coll_results: List[Any] = []
+        #: peers known dead: obituary read, or pipe closed
+        self.dead: Set[int] = set()
+
+    def _pull(self, timeout) -> bool:
         """Read one frame from every ready pipe; False if none was
         ready within ``timeout`` seconds (``0`` sweeps)."""
-        ready = select(timeout)
+        ready = self.sel.select(timeout)
         for key, _ in ready:
             src = key.data
             try:
@@ -144,23 +138,24 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
                     raise SimulationError("aborting: router is gone")
                 # the peer died without a report; the router fails the
                 # run, and sends to it are dead letters until then
-                sel.unregister(key.fileobj)
-                dead.add(src)
+                self.sel.unregister(key.fileobj)
+                self.dead.add(src)
                 continue
             if src == _CONTROL:
                 if frame[0] == _STOP:
                     raise SimulationError("aborting: another rank failed")
-                coll_results.append(frame[1])
+                self.coll_results.append(frame[1])
             else:
                 tag = frame[0]
                 if tag == TAG_OBITUARY:
-                    dead.add(src)
-                mailbox.append(Message(src, tag, frame[1], 0.0))
+                    self.dead.add(src)
+                self.mailbox.append(Message(src, tag, frame[1], 0.0))
         return bool(ready)
 
-    def find(source: int, tag: int, start: int) -> int:
+    def _find(self, source: int, tag: int, start: int) -> int:
         """Index of the first match at or after ``mailbox[start]``, or
         -1."""
+        mailbox = self.mailbox
         for idx in range(start, len(mailbox)):
             m = mailbox[idx]
             if ((source == -1 or source == m.source)
@@ -168,8 +163,11 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
                 return idx
         return -1
 
-    def receive(op: Recv) -> Optional[Message]:
+    def recv(self, op: Recv) -> Optional[Message]:
         source, tag = op.source, op.tag
+        mailbox = self.mailbox
+        find = self._find
+        pull = self._pull
         idx = find(source, tag, 0)
         if idx < 0:
             start = len(mailbox)
@@ -178,8 +176,8 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
             idx = find(source, tag, start)
         if idx >= 0:
             return mailbox.pop(idx)
-        now = monotonic()
-        guard = now + recv_timeout
+        now = _time.monotonic()
+        guard = now + self.recv_timeout
         deadline = None if op.timeout is None else now + op.timeout
         while True:
             if deadline is not None and now >= deadline:
@@ -192,59 +190,70 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
             idx = find(source, tag, start)
             if idx >= 0:
                 return mailbox.pop(idx)
-            now = monotonic()
+            now = _time.monotonic()
 
-    def probe(op: Probe) -> bool:
+    def probe(self, op: Probe) -> bool:
         source, tag = op.source, op.tag
-        if find(source, tag, 0) >= 0:
+        if self._find(source, tag, 0) >= 0:
             return True
-        start = len(mailbox)
-        while pull(0):
+        start = len(self.mailbox)
+        while self._pull(0):
             pass
-        return find(source, tag, start) >= 0
+        return self._find(source, tag, start) >= 0
 
-    def collective(op: Collective) -> Any:
-        ctl.send((_COLL, op))
-        trace["collectives"] += 1
-        guard = monotonic() + recv_timeout
-        while not coll_results:
-            remaining = guard - monotonic()
+    def collective(self, op: Collective) -> Any:
+        self.ctl.send((_COLL, op))
+        guard = _time.monotonic() + self.recv_timeout
+        while not self.coll_results:
+            remaining = guard - _time.monotonic()
             if remaining <= 0:
                 raise DeadlockError(f"collective(kind={op.kind!r})")
-            pull(remaining)
-        return coll_results.pop(0)
+            self._pull(remaining)
+        return self.coll_results.pop(0)
 
-    def transmit(op: Send) -> None:
+    def send(self, op: Send) -> None:
         dest = op.dest
-        conn = links.get(dest)
+        trace = self.trace
+        conn = self.links.get(dest)
         if conn is None:
-            if dest != rank:
+            if dest != self.rank:
                 raise SimulationError(
-                    f"rank {rank} sent to invalid rank {dest}")
-            mailbox.append(Message(rank, op.tag, op.payload, 0.0))
-        elif dest in dead:
-            trace["dead_letters"] += 1
+                    f"rank {self.rank} sent to invalid rank {dest}")
+            self.mailbox.append(Message(self.rank, op.tag, op.payload, 0.0))
+        elif dest in self.dead:
+            trace.dead_letters += 1
             return
         else:
             try:
                 conn.send((op.tag, op.payload))
             except OSError:
-                # the peer's process is gone (see pull)
-                dead.add(dest)
-                trace["dead_letters"] += 1
+                # the peer's process is gone (see _pull)
+                self.dead.add(dest)
+                trace.dead_letters += 1
                 return
-        trace["sent"] += 1
-        trace["bytes"] += op.nbytes
+        trace.messages_sent += 1
+        trace.bytes_sent += op.nbytes
 
-    def linger() -> None:
+    def crash(self) -> None:
+        """Write an obituary down every live peer's pipe, behind this
+        rank's last message to it."""
+        obituary = (TAG_OBITUARY, RankObituary(self.rank))
+        for dest, conn in self.links.items():
+            if dest not in self.dead:
+                try:
+                    conn.send(obituary)
+                except OSError:
+                    pass  # that peer's process is gone
+
+    def linger(self) -> None:
         """After the rank has reported: read and count what still
         arrives, per source, until the router ends the run."""
         late: Dict[int, int] = {}
         stopping = False
         while True:
-            ready = select(0 if stopping else None)
+            ready = self.sel.select(0 if stopping else None)
             if stopping and not ready:
-                ctl.send((_LATE, late))
+                self.ctl.send((_LATE, late))
                 return
             for key, _ in ready:
                 src = key.data
@@ -253,7 +262,7 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
                 except (EOFError, OSError):
                     if src == _CONTROL:
                         return
-                    sel.unregister(key.fileobj)
+                    self.sel.unregister(key.fileobj)
                     continue
                 if src == _CONTROL:
                     # _STOP: every peer wrote its last frame before it
@@ -262,74 +271,38 @@ def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
                 elif frame[0] != TAG_OBITUARY:
                     late[src] = late.get(src, 0) + 1
 
-    value: Any = None
+
+def _worker_main(rank: int, size: int, program: RankProgram, args: Any,
+                 seed_material: Tuple, ctl, links: Dict[int, Any],
+                 foreign: List, recv_timeout: float,
+                 fault_plan: Optional[FaultPlan]) -> None:
+    """Child-process body: interpret the rank program's ops, report the
+    value and :class:`RankTrace`, then stay up as a sink.
+
+    ``foreign`` holds the inherited pipe ends of other processes,
+    closed here so that a dead process's pipes reach EOF.
+    """
+    for conn in foreign:
+        conn.close()
+    ctx = RankContext(rank, size, RngStream(seed_material), args)
+    inj = (RankFaultInjector(fault_plan, rank)
+           if fault_plan is not None else None)
+    trace = RankTrace(rank)
+    port = _WorkerPort(rank, ctl, links, recv_timeout, trace)
     try:
         # Inside the try: a program that fails while building its
         # generator is reported like one that fails mid-run.
-        gen = program(ctx)
-        while True:
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                if inj is not None:
-                    # held-back messages die with the run, they are
-                    # not delivered into exited ranks' mailboxes
-                    trace["dead_letters"] += len(inj.flush())
-                trace["undelivered"] = sum(
-                    1 for m in mailbox if m.tag != TAG_OBITUARY)
-                _finish_trace(trace, inj)
-                ctl.send((_DONE, (stop.value, trace)))
-                break
-            value = None
-            if inj is not None:
-                action = inj.on_op(op)
-                if action == "crash":
-                    obituary = (TAG_OBITUARY, RankObituary(rank))
-                    for dest, conn in links.items():
-                        if dest not in dead:
-                            try:
-                                conn.send(obituary)
-                            except OSError:
-                                pass  # that peer's process is gone
-                    trace["crashed"] = True
-                    trace["dead_letters"] += len(mailbox)
-                    trace["undelivered"] = 0
-                    _finish_trace(trace, inj)
-                    ctl.send((_CRASH, trace))
-                    break
-                if action == "stall":
-                    _time.sleep(fault_plan.stall_cost)
-            kind = type(op)
-            if kind is Send:
-                if inj is not None:
-                    for real in inj.on_send(op):
-                        transmit(real)
-                else:
-                    transmit(op)
-            elif kind is Recv:
-                value = receive(op)
-                if value is not None:
-                    trace["received"] += 1
-            elif kind is Probe:
-                value = probe(op)
-            elif kind is Collective:
-                value = collective(op)
-            elif kind is not Compute:
-                raise SimulationError(f"rank {rank}: unknown op {op!r}")
-        linger()
+        value = run_ops(program(ctx), rank, port, trace, inj)
+        settle_trace(trace, port.mailbox, inj)
+        ctl.send((_CRASH, trace) if trace.crashed
+                 else (_DONE, (value, trace)))
+        port.linger()
     except BaseException as exc:
         try:
             ctl.send((_FAIL, (type(exc).__name__, str(exc),
                               _traceback.format_exc())))
         except Exception:
             pass
-
-
-def _finish_trace(trace: Dict[str, Any],
-                  inj: Optional[RankFaultInjector]) -> None:
-    if inj is not None:
-        trace["faults"] = len(inj.events)
-        trace["fault_events"] = list(inj.events)
 
 
 class _Router(threading.Thread):
@@ -344,14 +317,12 @@ class _Router(threading.Thread):
         self.p = p
         self.recv_timeout = recv_timeout
         self.done: Dict[int, Any] = {}
-        self.traces: Dict[int, Dict] = {}
+        self.traces: Dict[int, RankTrace] = {}
         #: ("deadlock", message) or ("lost", rank) or
         #: ("fail", rank, type name, message, traceback) or
         #: ("error", message)
         self.failure: Optional[Tuple] = None
-        self.coll_slots: Dict[int, Dict[int, Collective]] = {}
-        self.coll_seq_of = [0] * p
-        self.dead: Set[int] = set()
+        self.collectives = CollectiveTable(p)
         #: rank -> {source: frames read after the rank reported}
         self.late: Dict[int, Dict[int, int]] = {}
 
@@ -375,26 +346,28 @@ class _Router(threading.Thread):
             self.failure = ("lost", rank)
             self._abort()
             return False
-        if kind == _COLL:
-            self._join(rank, payload)
-            if self.failure:
-                self._abort()
-                return False
-        elif kind == _DONE:
-            value, trace = payload
-            self.done[rank] = value
-            self.traces[rank] = trace
-            live.discard(rank)
-        elif kind == _CRASH:
-            self.traces[rank] = payload
-            live.discard(rank)
-            self._rank_died(rank)
-        elif kind == _FAIL:
+        if kind == _FAIL:
             tname, msg, tb = payload
             if tname == "DeadlockError":
                 self._collect_deadlock(rank, msg, live)
             else:
                 self.failure = ("fail", rank, tname, msg, tb)
+            self._abort()
+            return False
+        try:
+            if kind == _COLL:
+                self._hand_out(self.collectives.join(rank, payload))
+            elif kind == _DONE:
+                value, trace = payload
+                self.done[rank] = value
+                self.traces[rank] = trace
+                live.discard(rank)
+            elif kind == _CRASH:
+                self.traces[rank] = payload
+                live.discard(rank)
+                self._hand_out(*self.collectives.rank_died(rank))
+        except SimulationError as exc:  # the collectives do not match
+            self.failure = ("error", str(exc))
             self._abort()
             return False
         return True
@@ -420,16 +393,6 @@ class _Router(threading.Thread):
                     self.late[rank] = payload
 
     # -- faults ---------------------------------------------------------
-
-    def _rank_died(self, rank: int) -> None:
-        """Fault-plan crash (the worker has written its obituaries):
-        complete pending collectives over the new live set."""
-        self.dead.add(rank)
-        for seq, slot in sorted(list(self.coll_slots.items())):
-            if slot and len(slot) >= self.p - len(self.dead):
-                self._finish_slot(seq, slot)
-                if self.failure:
-                    return
 
     def _collect_deadlock(self, rank: int, desc: str, live) -> None:
         """One worker timed out.  Its peers (blocked since roughly the
@@ -466,40 +429,12 @@ class _Router(threading.Thread):
         self.failure = ("deadlock",
                         "deadlock: blocked ranks:\n  " + "\n  ".join(lines))
 
-    def _join(self, rank: int, op: Collective) -> None:
-        seq = self.coll_seq_of[rank]
-        self.coll_seq_of[rank] += 1
-        slot = self.coll_slots.setdefault(seq, {})
-        if slot:
-            first = next(iter(slot.values()))
-            if first.kind != op.kind or first.root != op.root:
-                self.failure = (
-                    "error",
-                    f"collective mismatch at seq {seq}: {op.kind!r} vs "
-                    f"{first.kind!r}")
-                return
-        slot[rank] = op
-        if len(slot) == self.p - len(self.dead):
-            self._finish_slot(seq, slot)
-
-    def _finish_slot(self, seq: int, slot: Dict[int, Collective]) -> None:
-        any_op = next(iter(slot.values()))
-        try:
-            values = [slot[r].value if r in slot else None
-                      for r in range(self.p)]
-            if self.dead:
-                results = _collective_results_live(
-                    any_op.kind, any_op.root, any_op.op, values, self.p,
-                    self.dead)
-            else:
-                results = _collective_results(
-                    any_op.kind, any_op.root, any_op.op, values, self.p)
-        except SimulationError as exc:
-            self.failure = ("error", str(exc))
-            return
-        del self.coll_slots[seq]
-        for r in slot:
-            self.conns[r].send((_COLL, results[r]))
+    def _hand_out(self, *completed: Optional[CompletedCollective]) -> None:
+        """Send each member of the completed collectives its result."""
+        for done in completed:
+            if done is not None:
+                for r, result in done.results.items():
+                    self.conns[r].send((_COLL, result))
 
     def _abort(self) -> None:
         """Send ``_STOP`` to every worker: a running one aborts, a
@@ -596,7 +531,7 @@ class ProcessCluster:
                 proc.terminate()
         if alive:
             unfinished = sorted(set(range(p))
-                                - set(router.done) - router.dead)
+                                - set(router.done) - router.collectives.dead)
             raise DeadlockError(
                 "process cluster did not finish within the join timeout; "
                 f"unfinished ranks: {unfinished}")
@@ -615,25 +550,17 @@ class ProcessCluster:
         charged = [0] * p
         late_undelivered = [0] * p
         for rank, late in router.late.items():
-            if rank in router.dead:
+            if rank in router.collectives.dead:
                 for src, count in late.items():
                     charged[src] += count
             else:
                 late_undelivered[rank] = sum(late.values())
         traces = []
         for rank in range(p):
-            t = RankTrace(rank)
-            counters = router.traces.get(rank, {})
-            t.messages_sent = counters.get("sent", 0) - charged[rank]
-            t.bytes_sent = counters.get("bytes", 0)
-            t.messages_received = counters.get("received", 0)
-            t.collectives = counters.get("collectives", 0)
-            t.undelivered = (counters.get("undelivered", 0)
-                             + late_undelivered[rank])
-            t.crashed = counters.get("crashed", False)
-            t.dead_letters = counters.get("dead_letters", 0) + charged[rank]
-            t.faults_injected = counters.get("faults", 0)
-            t.fault_events = counters.get("fault_events", [])
+            t = router.traces[rank]
+            t.messages_sent -= charged[rank]
+            t.dead_letters += charged[rank]
+            t.undelivered += late_undelivered[rank]
             t.finish_time = wall
             traces.append(t)
         values = [router.done.get(r) for r in range(p)]

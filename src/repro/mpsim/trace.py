@@ -1,4 +1,4 @@
-"""Execution counters collected by both backends.
+"""Execution counters collected by all three backends.
 
 One :class:`RankTrace` per rank; the cluster aggregates them into a
 :class:`ClusterTrace`.  The scaling benches read simulated busy time

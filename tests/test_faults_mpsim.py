@@ -168,12 +168,14 @@ class TestMessageFaultsAcrossBackends:
         assert tuple(sorted(prc)) == (0, 1, 3, 4, 5, 5, 6, 7, 8, 9)
 
     def test_faults_recorded_in_trace(self):
-        res = SimulatedCluster(2, seed=1, faults=self.PLAN).run(
-            pingpong_program)
-        rank0 = res.trace.ranks[0]
-        assert rank0.faults_injected == 2
-        assert any("drop" in e for e in rank0.fault_events)
-        assert any("duplicate" in e for e in rank0.fault_events)
+        # One test over all three backends (a loop rather than
+        # parametrize, so the test keeps its id).
+        for make in (SimulatedCluster, ThreadCluster, ProcessCluster):
+            res = make(2, seed=1, faults=self.PLAN).run(pingpong_program)
+            rank0 = res.trace.ranks[0]
+            assert rank0.faults_injected == 2, make.__name__
+            assert any("drop" in e for e in rank0.fault_events)
+            assert any("duplicate" in e for e in rank0.fault_events)
 
 
 class TestCrash:
@@ -210,6 +212,37 @@ class TestCrash:
         rank0 = res.trace.ranks[0]
         assert rank0.dead_letters == 3
         assert rank0.messages_sent == 0
+
+
+_TRACE_FIELDS = (
+    "messages_sent", "messages_received", "bytes_sent", "collectives",
+    "compute_time", "dead_letters", "undelivered", "faults_injected",
+    "fault_events",
+)
+
+
+def _trace_rows(result):
+    return [{f: getattr(t, f) for f in _TRACE_FIELDS}
+            for t in result.trace.ranks]
+
+
+class TestRankTraceParity:
+    """Threads and procs run the same op loop, so a run's per-rank
+    counters agree between them."""
+
+    @pytest.mark.parametrize("program,p,plan", [
+        (pingpong_program, 2, TestMessageFaultsAcrossBackends.PLAN),
+        (crash_witness_program, 3, TestCrash.PLAN),
+    ], ids=["pingpong", "crash_witness"])
+    def test_threads_and_procs_record_the_same_trace(self, program, p,
+                                                     plan):
+        thr = ThreadCluster(p, seed=4, faults=plan).run(program)
+        prc = ProcessCluster(p, seed=4, faults=plan).run(program)
+        assert _trace_rows(thr) == _trace_rows(prc)
+        if program is crash_witness_program:
+            # three Compute(1.0) on a survivor, one before the crash
+            assert [t.compute_time for t in prc.trace.ranks] == [
+                3.0, 1.0, 3.0]
 
 
 class TestTimedRecv:

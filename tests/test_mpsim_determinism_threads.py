@@ -1,10 +1,14 @@
 """Determinism of the DES backend; equivalence spot-checks against the
 real-threads backend; trace accounting."""
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import DeadlockError
 from repro.mpsim import CostModel, SimulatedCluster, ThreadCluster
+from repro.mpsim.faults import FaultPlan
 
 
 def chatter_program(ctx):
@@ -24,6 +28,17 @@ def chatter_program(ctx):
         inbox.append(msg.payload)
     got = yield from ctx.allreduce(len(inbox))
     return (total, got)
+
+
+def late_barrier_program(ctx):
+    """Every rank computes, then joins two barriers.  Rank 0 reaches
+    the first one 20 ms late, so the others wait there for it."""
+    yield from ctx.compute(0.0)
+    if ctx.rank == 0:
+        time.sleep(0.02)
+    yield from ctx.barrier()
+    yield from ctx.barrier()
+    return ctx.rank
 
 
 class TestDeterminism:
@@ -90,6 +105,36 @@ class TestThreadsBackendEquivalence:
 
         res = ThreadCluster(5, seed=0, recv_timeout=10.0).run(prog)
         assert res.values == [(r - 1) % 5 for r in range(5)]
+
+
+class TestThreadsCollectiveHandOut:
+    def test_crash_after_collective_does_not_strand_a_slow_member(
+            self, monkeypatch):
+        """Rank 0 completes barrier 0, takes its result and crashes at
+        its next op (op 3).  Ranks 1 and 2 wake up from that barrier
+        10 and 50 ms late, after the crash; each must still find its
+        own result instead of waiting out ``recv_timeout``."""
+        delays = {"rank-1": 0.01, "rank-2": 0.05}
+        real_wait = threading.Condition.wait
+
+        def slow_wake(cond, timeout=None):
+            woke = real_wait(cond, timeout)
+            delay = delays.pop(threading.current_thread().name, None)
+            if delay:
+                cond.release()  # the other ranks run meanwhile
+                try:
+                    time.sleep(delay)
+                finally:
+                    cond.acquire()
+            return woke
+
+        monkeypatch.setattr(threading.Condition, "wait", slow_wake)
+        plan = FaultPlan(seed=0, crash_rank=0, crash_at_op=3)
+        res = ThreadCluster(3, seed=0, recv_timeout=2.0,
+                            faults=plan).run(late_barrier_program)
+        assert not delays  # both slow wake-ups happened
+        assert res.trace.crashed_ranks == [0]
+        assert res.values == [None, 1, 2]
 
 
 class TestTraceAccounting:

@@ -133,6 +133,17 @@ def late_sender_program(ctx):
     return None
 
 
+def gather_then_crash_program(ctx):
+    """Ranks 0 and 2 join a gather; rank 1 crashes after they have
+    joined (the plan stops it at its second op), which completes the
+    gather over the survivors, and a gather is not dead-tolerant."""
+    yield from ctx.compute(0.0)
+    if ctx.rank == 1:
+        time.sleep(0.3)
+    got = yield from ctx.gather(ctx.rank)
+    return got
+
+
 def mismatch_program(ctx):
     if ctx.rank == 0:
         yield from ctx.barrier()
@@ -206,6 +217,17 @@ class TestProcessCluster:
         res = ProcessCluster(2, seed=11).run(late_sender_program)
         assert res.trace.ranks[0].messages_sent == 2
         assert res.trace.ranks[1].undelivered == 2
+
+    def test_crash_completing_an_intolerant_collective_fails_at_once(self):
+        # The error must end the run when the crash is reported, not
+        # leave the survivors waiting for a result until recv_timeout.
+        plan = FaultPlan(seed=0, crash_rank=1, crash_at_op=2)
+        start = time.monotonic()
+        with pytest.raises(SimulationError, match="not dead-tolerant"):
+            ProcessCluster(3, seed=12, recv_timeout=20.0,
+                           join_timeout=60.0, faults=plan).run(
+                gather_then_crash_program)
+        assert time.monotonic() - start < 10.0
 
     def test_collective_mismatch_detected(self):
         with pytest.raises(SimulationError, match="mismatch"):
