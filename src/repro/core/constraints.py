@@ -29,11 +29,10 @@ checked by the caller against the owner of each replacement edge.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import SwitchError
-from repro.types import Edge, canonical_edge
+from repro.types import Edge
 
 __all__ = ["SwitchKind", "FailureReason", "SwitchProposal", "propose_switch"]
 
@@ -58,13 +57,14 @@ class FailureReason(enum.Enum):
     DEAD_PEER = "dead_peer"
 
 
-@dataclass(frozen=True)
-class SwitchProposal:
+class SwitchProposal(NamedTuple):
     """A feasible-so-far switch: what to remove and what to add.
 
     Parallel-edge checks against the live graph remain the caller's
     responsibility (they are ownership-dependent in the distributed
-    setting).
+    setting).  A tuple, not a frozen dataclass, because one is built
+    per switch attempt; never compare proposals with ``==``, which
+    compares fields only.
     """
 
     remove: Tuple[Edge, Edge]
@@ -93,16 +93,17 @@ def propose_switch(e1: Edge, e2: Edge, kind: SwitchKind
             return None, FailureReason.LOOP
         if u1 == u2 or v1 == v2:
             return None, FailureReason.USELESS
-        new_a = canonical_edge(u1, v2)
-        new_b = canonical_edge(u2, v1)
+        # canonical_edge, inlined (one call per attempt and edge adds up).
+        new_a = (u1, v2) if u1 <= v2 else (v2, u1)
+        new_b = (u2, v1) if u2 <= v1 else (v1, u2)
     elif kind is SwitchKind.STRAIGHT:
         if u1 == u2 or v1 == v2:
             return None, FailureReason.LOOP
         if u1 == v2 or u2 == v1:
             return None, FailureReason.USELESS
-        new_a = canonical_edge(u1, u2)
-        new_b = canonical_edge(v1, v2)
+        new_a = (u1, u2) if u1 <= u2 else (u2, u1)
+        new_b = (v1, v2) if v1 <= v2 else (v2, v1)
     else:  # pragma: no cover - enum is closed
         raise SwitchError(f"unknown switch kind {kind!r}")
 
-    return SwitchProposal(remove=(e1, e2), add=(new_a, new_b), kind=kind), None
+    return SwitchProposal((e1, e2), (new_a, new_b), kind), None

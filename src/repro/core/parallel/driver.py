@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Union
 
 from repro.audit.auditor import AuditConfig, AuditScope
@@ -400,20 +401,17 @@ def parallel_edge_switch(
             events=scope.tails(), context=audit_context,
         ) from exc
 
-    final = SimpleGraph(graph.num_vertices)
     crashed = set(run.trace.crashed_ranks)
     if backend == "procs":
-        for report in run.values:
-            if report is None:  # a crashed rank returns nothing
-                continue
-            for u, v in report.final_edge_list:
-                final.add_edge(u, v)
+        # A crashed rank returns nothing.
+        final_edges = [report.final_edge_list for report in run.values
+                       if report is not None]
     else:
-        for rank, part in enumerate(partitions):
-            if rank in crashed:
-                continue  # a dead rank's partition dies with it
-            for u, v in part.edges():
-                final.add_edge(u, v)
+        # A dead rank's partition dies with it.
+        final_edges = [part.edges() for rank, part in enumerate(partitions)
+                       if rank not in crashed]
+    final = SimpleGraph.from_edges(graph.num_vertices,
+                                   chain.from_iterable(final_edges))
 
     result = ParallelSwitchResult(
         graph=final,

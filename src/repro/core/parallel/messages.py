@@ -27,12 +27,18 @@ restart rule of Section 4.4.
 
 All messages travel under one tag (:data:`TAG_PROTO`); dispatch is by
 payload type.  FIFO per channel is guaranteed by the backends.
+
+Payloads are :class:`typing.NamedTuple` subclasses, like the ops of
+:mod:`repro.mpsim.ops`: one is built per protocol hop, and a tuple is
+several times cheaper to construct than a frozen dataclass while
+staying immutable and picklable.  Tuple equality ignores the type
+(``Abort(c) == Commit(c)``), so code tells payloads apart with
+``type()`` and never compares two payloads with ``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.types import Edge
 
@@ -61,16 +67,14 @@ TAG_PROTO = 1
 Conv = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SwitchRequest:
+class SwitchRequest(NamedTuple):
     """Initiator → partner: "switch my ``e1`` with one of your edges"."""
 
     conv: Conv
     e1: Edge
 
 
-@dataclass(frozen=True)
-class Validate:
+class Validate(NamedTuple):
     """Chain message: validate & reserve the replacement edges you own.
 
     ``visited`` lists ranks already holding conversation state (for
@@ -86,37 +90,32 @@ class Validate:
     remaining: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Retry:
+class Retry(NamedTuple):
     """Any participant → initiator: attempt failed, pick a new pair."""
 
     conv: Conv
     reason: str  # FailureReason.value
 
 
-@dataclass(frozen=True)
-class Abort:
+class Abort(NamedTuple):
     """Failure cleanup: release checkouts and reservations for ``conv``."""
 
     conv: Conv
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
     """Initiator → participants: all checks passed, apply your ops."""
 
     conv: Conv
 
 
-@dataclass(frozen=True)
-class CommitAck:
+class CommitAck(NamedTuple):
     """Participant → initiator: my ops are applied."""
 
     conv: Conv
 
 
-@dataclass(frozen=True)
-class DoneUp:
+class DoneUp(NamedTuple):
     """Termination tree, leafward→rootward: my subtree finished its
     step quota.
 
@@ -131,16 +130,14 @@ class DoneUp:
     step: int
 
 
-@dataclass(frozen=True)
-class DoneAll:
+class DoneAll(NamedTuple):
     """Termination tree, root→leafward: the whole step is finished;
     stop serving and proceed to the step barrier."""
 
     step: int
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Fault-tolerance envelope around a protocol message.
 
     ``seq`` is the sender's per-destination frame serial; the receiver
@@ -153,8 +150,7 @@ class Frame:
     payload: object
 
 
-@dataclass(frozen=True)
-class FrameAck:
+class FrameAck(NamedTuple):
     """Receiver → sender: frame ``seq`` arrived (not itself framed or
     acknowledged, so acks cannot recurse)."""
 

@@ -61,6 +61,10 @@ from repro.util.rng import BlockSampler
 
 __all__ = ["ConversationMixin", "PROBE_PROTO", "RECV_PROTO"]
 
+#: ``SwitchKind`` by its wire value (``Validate.kind``); a dict lookup
+#: instead of the enum's value-lookup call.
+_KINDS = {kind.value: kind for kind in SwitchKind}
+
 #: The serve loop's hot synchronising ops.  Ops are immutable tuples,
 #: so one instance serves every yield.
 PROBE_PROTO = Probe(tag=TAG_PROTO)
@@ -107,18 +111,25 @@ class ConversationMixin:
 
     # -- helpers -----------------------------------------------------------
 
-    def _conflicts(self, edge: Edge) -> bool:
-        """Would creating ``edge`` violate simplicity here?  True if it
-        already exists or a concurrent conversation reserved it."""
-        return edge in self.reserved or self.part.has_edge(*edge)
+    def _conflicts(self, edges: List[Edge]) -> bool:
+        """Would creating any of ``edges`` violate simplicity here?  True
+        if one already exists or a concurrent conversation reserved it."""
+        reserved = self.reserved
+        has_edge = self.part.has_edge
+        for e in edges:
+            if e in reserved or has_edge(*e):
+                return True
+        return False
 
     def _group_by_owner(self, edges: Tuple[Edge, Edge]) -> Dict[int, List[Edge]]:
-        """Replacement edges grouped by owning rank (deterministic
-        insertion order)."""
-        groups: Dict[int, List[Edge]] = {}
-        for e in edges:
-            groups.setdefault(self.owner(e[0]), []).append(e)
-        return groups
+        """The two replacement edges grouped by owning rank, in edge
+        order (deterministic insertion order)."""
+        a, b = edges
+        owner_a = self.owner(a[0])
+        owner_b = self.owner(b[0])
+        if owner_a == owner_b:
+            return {owner_a: [a, b]}
+        return {owner_a: [a], owner_b: [b]}
 
     def _proto(self, dest: int, payload):
         # Hot path: handlers yield op objects directly rather than
@@ -225,7 +236,7 @@ class ConversationMixin:
             groups = self._group_by_owner(proposal.add)
             mine = groups.pop(me, [])
             yield check_ops[len(mine)]
-            if any(self._conflicts(e) for e in mine):
+            if self._conflicts(mine):
                 self.part.release(e1)
                 self.part.release(e2)
                 self.report.bump_rejection(FailureReason.PARALLEL)
@@ -306,7 +317,7 @@ class ConversationMixin:
         groups = self._group_by_owner(proposal.add)
         mine = groups.pop(me, [])
         yield self.check_ops[len(mine)]
-        if any(self._conflicts(e) for e in mine):
+        if self._conflicts(mine):
             self.part.release(e2)
             if aud is not None:
                 aud.record("retry", msg.conv, "send parallel")
@@ -343,8 +354,7 @@ class ConversationMixin:
         initiator = msg.conv[0]
         if aud is not None:
             aud.record("validate", msg.conv, f"from={source}")
-        proposal, reason = propose_switch(
-            msg.e1, msg.e2, SwitchKind(msg.kind))
+        proposal, reason = propose_switch(msg.e1, msg.e2, _KINDS[msg.kind])
         if proposal is None:  # degenerate cases are filtered at the partner
             raise ProtocolError(
                 f"rank {me}: Validate carries infeasible pair "
@@ -373,7 +383,7 @@ class ConversationMixin:
                         initiator,
                         Retry(msg.conv, FailureReason.DEAD_PEER.value))
                 return
-        if any(self._conflicts(e) for e in mine):
+        if self._conflicts(mine):
             if aud is not None:
                 aud.record("abort", msg.conv,
                            f"send to={list(msg.visited)}")
@@ -395,10 +405,11 @@ class ConversationMixin:
             if me == initiator:
                 raise ProtocolError(
                     f"rank {me}: initiator must terminate the chain")
+            # Only a peer's death reads ``peers`` (fault tolerance).
+            peers = () if self.channel is None else tuple(
+                {msg.partner, *msg.visited, *msg.remaining} - {me})
             self.servant[msg.conv] = ServantState(
-                msg.conv, checked_out=[], reserved=mine,
-                peers=tuple({msg.partner, *msg.visited, *msg.remaining}
-                            - {me}))
+                msg.conv, checked_out=[], reserved=mine, peers=peers)
             if aud is not None:
                 aud.conv_open(msg.conv, "owner", checked_out=0,
                               reserved=len(mine))

@@ -81,15 +81,6 @@ from repro.rvgen.parallel_multinomial import distribute_switch_counts
 
 __all__ = ["SwitchRank", "switch_rank_program"]
 
-_HANDLERS = {
-    SwitchRequest: "handle_request",
-    Validate: "handle_validate",
-    Retry: "handle_retry",
-    Abort: "handle_abort",
-    Commit: "handle_commit",
-    CommitAck: "handle_commit_ack",
-}
-
 #: Fallback serve-loop tick when the driver did not resolve one (only
 #: reachable when a rank program is built by hand); wall-clock seconds.
 _DEFAULT_TICK = 0.05
@@ -114,6 +105,16 @@ class SwitchRank(ConversationMixin):
                                for k in range(5))
         self.failure_limit = args.config.consecutive_failure_limit
         self.report = RankReport(rank=ctx.rank)
+        #: Conversation handler per payload type, bound once per rank
+        #: (the serve loop's fault-free dispatch, and ``_dispatch``).
+        self.handlers = {
+            SwitchRequest: self.handle_request,
+            Validate: self.handle_validate,
+            Retry: self.handle_retry,
+            Abort: self.handle_abort,
+            Commit: self.handle_commit,
+            CommitAck: self.handle_commit_ack,
+        }
         self.tracker = VisitTracker(self.part.edges())
         # audit (off by default: self.audit stays None and every hook
         # in the conversation mixin is a single identity check)
@@ -279,8 +280,17 @@ class SwitchRank(ConversationMixin):
         ft = self.channel is not None
         probe = _PROBE_ANY if ft else PROBE_PROTO
         recv = self.ft_recv if ft else RECV_PROTO
+        handlers = self.handlers
+        num_children = len(self.children)
         while True:
-            yield from self._propagate_done()
+            # Fault-free, enter _propagate_done only when its guard can
+            # pass: most turns would build a generator that yields
+            # nothing.
+            if ft or not (self.done_up_sent or self.quota > 0
+                          or self.active is not None or self.ack_wait
+                          or self.servant
+                          or self.children_done < num_children):
+                yield from self._propagate_done()
             if self.done_all:
                 break
             if self.quota > 0 and self.active is None:
@@ -291,10 +301,19 @@ class SwitchRank(ConversationMixin):
                     yield from self.try_initiate()
                     continue
             msg = yield recv
-            if msg is None:  # the fault-tolerance tick expired
-                yield from self._ft_tick()
+            if ft:
+                if msg is None:  # the fault-tolerance tick expired
+                    yield from self._ft_tick()
+                else:
+                    yield from self._dispatch(msg)
                 continue
-            yield from self._dispatch(msg)
+            # Fault-free: the payload is bare and the tag is TAG_PROTO,
+            # so a conversation message goes straight to its handler.
+            handler = handlers.get(type(msg.payload))
+            if handler is None:
+                yield from self._dispatch(msg)
+            else:
+                yield from handler(msg.source, msg.payload)
         if ft:
             yield from self._ft_finish_step()
 
@@ -345,11 +364,11 @@ class SwitchRank(ConversationMixin):
                 yield from self._ft_flood_done()
             self.done_all = True
             return
-        handler = _HANDLERS.get(kind)
+        handler = self.handlers.get(kind)
         if handler is None:
             raise ProtocolError(
                 f"rank {self.ctx.rank}: unexpected payload {payload!r}")
-        yield from getattr(self, handler)(msg.source, payload)
+        yield from handler(msg.source, payload)
 
     def _check_step(self, step: int) -> bool:
         if step == self.step_index:

@@ -22,7 +22,9 @@ class VisitTracker:
     __slots__ = ("_initial_count", "_remaining")
 
     def __init__(self, edges: Iterable[Edge]):
-        self._remaining: Set[Edge] = {canonical_edge(*e) for e in edges}
+        # canonical_edge, inlined: one call per initial edge adds up.
+        self._remaining: Set[Edge] = {(u, v) if u <= v else (v, u)
+                                      for u, v in edges}
         self._initial_count = len(self._remaining)
 
     @property

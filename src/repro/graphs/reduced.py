@@ -24,7 +24,7 @@ implement exactly that.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.errors import GraphError, NotSimpleError
@@ -66,15 +66,26 @@ class ReducedAdjacencyGraph:
     def from_simple(cls, graph, vertices: Optional[Iterable[Vertex]] = None
                     ) -> "ReducedAdjacencyGraph":
         """Extract the reduced lists of ``vertices`` (default: all) from a
-        :class:`~repro.graphs.graph.SimpleGraph`."""
+        :class:`~repro.graphs.graph.SimpleGraph`.
+
+        One pass per owned vertex, in ascending label order, so the pool
+        lists the edges in ``graph.edges()`` order (filtered to the owned
+        lower endpoints).  Samplers index into the pool, so same-seed
+        runs depend on this order.  The input is a simple graph, so the
+        per-edge checks of :meth:`add_edge` cannot fail and are skipped.
+        """
         if vertices is None:
-            vertices = range(graph.num_vertices)
-        owned = set(int(v) for v in vertices)
+            owned: Iterable[int] = range(graph.num_vertices)
+        else:
+            owned = sorted({int(v) for v in vertices})
         out = cls(owned)
+        adj = out._adj
+        pool = out._edges
         for u in owned:
-            for v in graph.neighbors(u):
-                if u < v:
-                    out.add_edge(u, v)
+            higher = [v for v in graph.neighbors(u) if v > u]
+            adj[u].update(higher)
+            pool.extend(zip(repeat(u), higher))
+        out._index = dict(zip(pool, range(len(pool))))
         return out
 
     # -- queries ------------------------------------------------------------

@@ -13,16 +13,20 @@ Determinism: ties on the heap are broken by rank id, messages are FIFO
 per (source, dest) pair, and all randomness comes from per-rank
 spawned streams — the same master seed always yields the same trace.
 
-Hot path: :meth:`SimulationEngine._advance` is the inner interpreter
-loop and is written for speed — trace counters are bumped inline, the
-wire-time formula (``α + β·bytes``) is inlined (``CostModel`` is a
-flat frozen value type, never subclassed), FIFO channels are keyed by
-``source·p + dest`` ints, and a rank whose deferred synchronising op
-would provably be the next event popped skips the heap round-trip.
-That last fast path preserves the exact event order: the rank proceeds
-only when ``(clock, rid)`` sorts strictly before the heap top, which
-is precisely the condition under which pushing and immediately popping
-would return the same rank.
+Hot path: :meth:`SimulationEngine.run` is one event loop that pops an
+event and then drives that rank's generator in place, and it is
+written for speed.  The cost-model constants, the FIFO table and the
+heap are bound to locals once per run and each generator's ``send``
+once per rank; trace counters are bumped inline; the fault-free send
+is inlined, with the wire-time formula (``α + β·bytes``; ``CostModel``
+is a flat frozen value type, never subclassed) and the delivered
+:class:`~repro.mpsim.ops.Message` built by ``tuple.__new__``; FIFO
+channels are keyed by ``source·p + dest`` ints; and a rank whose
+deferred synchronising op would provably be the next event popped
+skips the heap round-trip.  That last fast path preserves the exact
+event order: the rank proceeds only when ``(clock, rid)`` sorts
+strictly before the heap top, which is precisely the condition under
+which pushing and immediately popping would return the same rank.
 """
 
 from __future__ import annotations
@@ -64,14 +68,15 @@ class _RankState:
     """Mutable per-rank bookkeeping."""
 
     __slots__ = (
-        "rid", "gen", "clock", "status", "mailbox", "want_source",
+        "rid", "send", "clock", "status", "mailbox", "want_source",
         "want_tag", "block_clock", "deadline", "token", "resume_value",
         "pending_op", "value", "trace",
     )
 
     def __init__(self, rid: int, gen: Generator):
         self.rid = rid
-        self.gen = gen
+        #: The generator's ``send``, bound once for the event loop.
+        self.send = gen.send
         self.clock = 0.0
         self.status = _READY
         self.mailbox: List[Message] = []
@@ -108,7 +113,6 @@ class SimulationEngine:
         self._fifo_last: Dict[int, float] = {}
         self.collectives = CollectiveTable(self.p)
         self._finished = 0
-        self._events = 0
         if injectors is not None and len(injectors) != self.p:
             raise SimulationError(
                 f"{len(injectors)} fault injectors for {self.p} ranks")
@@ -117,41 +121,207 @@ class SimulationEngine:
     # -- public ---------------------------------------------------------
 
     def run(self) -> float:
-        """Run to completion; returns the simulated makespan."""
-        for state in self.ranks:
-            self._push(state, 0.0)
-        heap = self._heap
+        """Run to completion; returns the simulated makespan.
+
+        One event loop: pop the earliest event, complete the receive it
+        announces, then drive that rank's generator until it blocks,
+        defers or ends (see the module docstring's hot-path notes).
+        """
+        cm = self.cm
+        send_ovh = cm.send_overhead
+        alpha = cm.alpha
+        beta = cm.beta
+        p = self.p
         ranks = self.ranks
+        dead = self.collectives.dead
+        fifo = self._fifo_last
+        fifo_get = fifo.get
+        heap = self._heap
+        heappush = heapq.heappush
         heappop = heapq.heappop
+        new_tuple = tuple.__new__
+        injectors = self.injectors
         max_events = self.max_events
-        while self._finished < self.p:
+        events = 0
+        for state in ranks:
+            self._push(state, 0.0)
+        while self._finished < p:
             if not heap:
                 self._raise_deadlock()
-            time, rid, token = heappop(heap)
+            t_pop, rid, token = heappop(heap)
             state = ranks[rid]
             status = state.status
             if status == _DONE or token != state.token:
                 continue  # stale event
-            self._events += 1
-            if self._events > max_events:
+            events += 1
+            if events > max_events:
                 raise SimulationError(
-                    f"event budget exceeded ({self.max_events}); "
+                    f"event budget exceeded ({max_events}); "
                     "likely a livelock in a rank program"
                 )
             if status == _BLOCKED_RECV:
-                self._complete_recv(state, time)
-                if state.status == _READY:
-                    self._advance(state, state.clock)
-            elif status == _READY:
-                self._advance(state, time)
-            else:  # BLOCKED_COLL ranks are resumed via _finish_collective
+                self._complete_recv(state, t_pop)
+                if state.status != _READY:
+                    continue
+                t_pop = state.clock
+            elif status != _READY:
+                # BLOCKED_COLL ranks are resumed via _finish_collective.
                 raise SimulationError(
                     f"rank {rid}: unexpected event while blocked on a collective"
                 )
-        injectors = self.injectors or [None] * self.p
-        for st, inj in zip(self.ranks, injectors):
+            trace = state.trace
+            gen_send = state.send
+            inj = injectors[rid] if injectors is not None else None
+            chan_base = rid * p
+            value = state.resume_value
+            state.resume_value = None
+            op = state.pending_op
+            state.pending_op = None
+            while True:
+                if op is None:
+                    try:
+                        op = gen_send(value)
+                    except StopIteration as stop:
+                        state.status = _DONE
+                        state.value = stop.value
+                        trace.finish_time = state.clock
+                        self._finished += 1
+                        break
+                    except Exception:
+                        state.status = _DONE
+                        self._finished += 1
+                        raise
+                    value = None
+                    if inj is not None:
+                        # Fault hook fires once per freshly yielded op
+                        # (ops re-examined after a block are not
+                        # re-counted).
+                        action = inj.on_op(op)
+                        if action == "crash":
+                            self._crash(state)
+                            break
+                        if action == "stall":
+                            state.clock += inj.plan.stall_cost
+                            trace.record_compute(inj.plan.stall_cost)
+                kind = type(op)
+                if kind is Compute:
+                    state.clock += op.cost
+                    trace.compute_time += op.cost
+                    op = None
+                    continue
+                if kind is Send:
+                    if inj is not None:
+                        for real in inj.on_send(op):
+                            self._do_send(state, real)
+                        op = None
+                        continue
+                    # The fault-free send, inlined: _do_send's
+                    # arithmetic without per-message function calls.
+                    dest_rid, tag, payload, nbytes = op
+                    if dest_rid < 0 or dest_rid >= p:
+                        raise SimulationError(
+                            f"rank {rid} sent to invalid rank {dest_rid}"
+                        )
+                    clock = state.clock + send_ovh
+                    state.clock = clock
+                    trace.compute_time += send_ovh
+                    if dead and dest_rid in dead:
+                        # Dead letter: charged to the sender, never
+                        # delivered.
+                        trace.dead_letters += 1
+                        op = None
+                        continue
+                    arrival = clock + alpha + beta * nbytes
+                    chan = chan_base + dest_rid
+                    last = fifo_get(chan)
+                    if last is not None and arrival <= last:
+                        arrival = last + _FIFO_EPS
+                    fifo[chan] = arrival
+                    dest = ranks[dest_rid]
+                    # Message(rid, tag, payload, arrival) without the
+                    # NamedTuple constructor's Python frame.
+                    dest.mailbox.append(
+                        new_tuple(Message, (rid, tag, payload, arrival)))
+                    trace.messages_sent += 1
+                    trace.bytes_sent += nbytes
+                    if dest.status == _BLOCKED_RECV:
+                        ws = dest.want_source
+                        wt = dest.want_tag
+                        if ((ws == -1 or ws == rid)
+                                and (wt == -1 or wt == tag)):
+                            bc = dest.block_clock
+                            wake = arrival if arrival > bc else bc
+                            ddl = dest.deadline
+                            if ddl is None or wake <= ddl:
+                                tk = dest.token + 1
+                                dest.token = tk
+                                heappush(heap, (wake, dest_rid, tk))
+                            # else: the receive's deadline event is
+                            # still the valid token and fires first —
+                            # the receive times out before this message
+                            # arrives.
+                    op = None
+                    continue
+                # Synchronising ops must resolve at the global minimum
+                # time.
+                clock = state.clock
+                if clock > t_pop:
+                    # Fast path: if (clock, rid) sorts strictly before
+                    # the heap top, pushing and popping would hand
+                    # control straight back to this rank — skip the
+                    # round-trip.  (Exact order preserved; ties defer to
+                    # the heap.)
+                    if heap:
+                        top = heap[0]
+                        if clock < top[0] or (clock == top[0]
+                                              and rid < top[1]):
+                            t_pop = clock
+                        else:
+                            # Defer: _push, inlined.
+                            state.pending_op = op
+                            tk = state.token + 1
+                            state.token = tk
+                            heappush(heap, (clock, rid, tk))
+                            break
+                    else:
+                        t_pop = clock
+                    # A jump still counts against the event budget so an
+                    # infinite sync-op loop cannot livelock the host.
+                    events += 1
+                    if events > max_events:
+                        raise SimulationError(
+                            f"event budget exceeded ({max_events}); "
+                            "likely a livelock in a rank program"
+                        )
+                if kind is Recv:
+                    if self._try_recv(state, op):
+                        value = state.resume_value
+                        state.resume_value = None
+                        op = None
+                        continue
+                    break  # blocked
+                if kind is Probe:
+                    now = state.clock
+                    src = op.source
+                    tag = op.tag
+                    value = False
+                    for msg in state.mailbox:
+                        if (msg.arrival <= now
+                                and (src == -1 or src == msg.source)
+                                and (tag == -1 or tag == msg.tag)):
+                            value = True
+                            break
+                    op = None
+                    continue
+                if kind is Collective:
+                    self._join_collective(state, op)
+                    break
+                raise SimulationError(
+                    f"rank {rid} yielded unknown op {op!r}")
+        injectors = injectors or [None] * p
+        for st, inj in zip(ranks, injectors):
             settle_trace(st.trace, st.mailbox, inj)
-        return max(st.trace.finish_time for st in self.ranks)
+        return max(st.trace.finish_time for st in ranks)
 
     def values(self) -> List[Any]:
         """Rank-program return values, in rank order."""
@@ -183,163 +353,9 @@ class SimulationEngine:
 
     # -- op execution ----------------------------------------------------------
 
-    def _advance(self, state: _RankState, t_pop: float) -> None:
-        """Drive ``state``'s generator until it blocks, defers, or ends."""
-        cm = self.cm
-        send_ovh = cm.send_overhead
-        alpha = cm.alpha
-        beta = cm.beta
-        p = self.p
-        rid = state.rid
-        chan_base = rid * p
-        ranks = self.ranks
-        dead = self.collectives.dead
-        fifo = self._fifo_last
-        fifo_get = fifo.get
-        heap = self._heap
-        heappush = heapq.heappush
-        trace = state.trace
-        gen_send = state.gen.send
-        inj = self.injectors[rid] if self.injectors is not None else None
-        value = state.resume_value
-        state.resume_value = None
-        op = state.pending_op
-        state.pending_op = None
-        while True:
-            if op is None:
-                try:
-                    op = gen_send(value)
-                except StopIteration as stop:
-                    state.status = _DONE
-                    state.value = stop.value
-                    state.trace.finish_time = state.clock
-                    self._finished += 1
-                    return
-                except Exception:
-                    state.status = _DONE
-                    self._finished += 1
-                    raise
-                value = None
-                if inj is not None:
-                    # Fault hook fires once per freshly yielded op (ops
-                    # re-examined after a block are not re-counted).
-                    action = inj.on_op(op)
-                    if action == "crash":
-                        self._crash(state)
-                        return
-                    if action == "stall":
-                        state.clock += inj.plan.stall_cost
-                        state.trace.record_compute(inj.plan.stall_cost)
-            kind = type(op)
-            if kind is Compute:
-                state.clock += op.cost
-                trace.compute_time += op.cost
-                op = None
-                continue
-            if kind is Send:
-                if inj is not None:
-                    for real in inj.on_send(op):
-                        self._do_send(state, real)
-                    op = None
-                    continue
-                # Inlined _do_send: identical arithmetic, no per-message
-                # function calls.
-                dest_rid = op.dest
-                if dest_rid < 0 or dest_rid >= p:
-                    raise SimulationError(
-                        f"rank {rid} sent to invalid rank {dest_rid}"
-                    )
-                clock = state.clock + send_ovh
-                state.clock = clock
-                trace.compute_time += send_ovh
-                if dead and dest_rid in dead:
-                    # Dead letter: charged to the sender, never delivered.
-                    trace.dead_letters += 1
-                    op = None
-                    continue
-                nbytes = op.nbytes
-                arrival = clock + alpha + beta * nbytes
-                chan = chan_base + dest_rid
-                last = fifo_get(chan)
-                if last is not None and arrival <= last:
-                    arrival = last + _FIFO_EPS
-                fifo[chan] = arrival
-                tag = op.tag
-                dest = ranks[dest_rid]
-                dest.mailbox.append(Message(rid, tag, op.payload, arrival))
-                trace.messages_sent += 1
-                trace.bytes_sent += nbytes
-                if dest.status == _BLOCKED_RECV:
-                    ws = dest.want_source
-                    wt = dest.want_tag
-                    if (ws == -1 or ws == rid) and (wt == -1 or wt == tag):
-                        bc = dest.block_clock
-                        wake = arrival if arrival > bc else bc
-                        ddl = dest.deadline
-                        if ddl is None or wake <= ddl:
-                            tk = dest.token + 1
-                            dest.token = tk
-                            heappush(heap, (wake, dest_rid, tk))
-                        # else: the receive's deadline event is still
-                        # the valid token and fires first — the receive
-                        # times out before this message arrives.
-                op = None
-                continue
-            # Synchronising ops must resolve at the global minimum time.
-            if state.clock > t_pop:
-                # Fast path: if (clock, rid) sorts strictly before the
-                # heap top, pushing and popping would hand control
-                # straight back to this rank — skip the round-trip.
-                # (Exact order preserved; ties defer to the heap.)
-                if heap:
-                    top = heap[0]
-                    if state.clock < top[0] or (state.clock == top[0]
-                                                and rid < top[1]):
-                        t_pop = state.clock
-                    else:
-                        state.pending_op = op
-                        self._push(state, state.clock)
-                        return
-                else:
-                    t_pop = state.clock
-                # A jump still counts against the event budget so an
-                # infinite sync-op loop cannot livelock the host.
-                ev = self._events + 1
-                self._events = ev
-                if ev > self.max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({self.max_events}); "
-                        "likely a livelock in a rank program"
-                    )
-            if kind is Recv:
-                if self._try_recv(state, op):
-                    value = state.resume_value
-                    state.resume_value = None
-                    op = None
-                    continue
-                return  # blocked
-            if kind is Probe:
-                # Inlined _probe_now.
-                now = state.clock
-                src = op.source
-                tag = op.tag
-                value = False
-                for msg in state.mailbox:
-                    if (msg.arrival <= now
-                            and (src == -1 or src == msg.source)
-                            and (tag == -1 or tag == msg.tag)):
-                        value = True
-                        break
-                op = None
-                continue
-            if kind is Collective:
-                self._join_collective(state, op)
-                return
-            raise SimulationError(f"rank {state.rid} yielded unknown op {op!r}")
-
     def _do_send(self, state: _RankState, op: Send) -> None:
-        """Single-message send (fault-injection and crash paths; the
-        fault-free hot path is inlined in :meth:`_advance`)."""
+        """Single-message send (the fault-injection path; the fault-free
+        send is inlined in :meth:`run`)."""
         if not 0 <= op.dest < self.p:
             raise SimulationError(
                 f"rank {state.rid} sent to invalid rank {op.dest}"

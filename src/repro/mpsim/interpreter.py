@@ -14,8 +14,8 @@ written once:
   letters, undelivered messages, injected faults);
 * :func:`run_ops` is the op loop of the two blocking backends, with
   the fault-injection hooks.  The engine keeps its own inlined loop
-  (``SimulationEngine._advance``): it resumes ranks from an event heap
-  and cannot block in place.
+  (``SimulationEngine.run``): it resumes ranks from an event heap and
+  cannot block in place.
 """
 
 from __future__ import annotations

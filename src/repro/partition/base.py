@@ -54,21 +54,19 @@ def build_partitions(
 ) -> List[ReducedAdjacencyGraph]:
     """Materialise one reduced-adjacency partition per rank.
 
-    Edge ``(u, v), u < v`` is stored on ``partitioner.owner(u)``.
+    Edge ``(u, v), u < v`` is stored on ``partitioner.owner(u)``; each
+    rank's pool lists its edges in ``graph.edges()`` order (see
+    :meth:`ReducedAdjacencyGraph.from_simple`).
     """
     if partitioner.num_vertices != graph.num_vertices:
         raise PartitionError(
             f"partitioner built for n={partitioner.num_vertices}, "
             f"graph has n={graph.num_vertices}"
         )
-    parts = [ReducedAdjacencyGraph() for _ in range(partitioner.num_ranks)]
-    owners = [partitioner.owner(v) for v in range(graph.num_vertices)]
     vert_lists: List[List[int]] = [[] for _ in range(partitioner.num_ranks)]
-    for v, r in enumerate(owners):
+    for v in range(graph.num_vertices):
+        r = partitioner.owner(v)
         if not 0 <= r < partitioner.num_ranks:
             raise PartitionError(f"owner({v}) = {r} outside [0, {partitioner.num_ranks})")
         vert_lists[r].append(v)
-    parts = [ReducedAdjacencyGraph(vs) for vs in vert_lists]
-    for u, v in graph.edges():
-        parts[owners[u]].add_edge(u, v)
-    return parts
+    return [ReducedAdjacencyGraph.from_simple(graph, vs) for vs in vert_lists]

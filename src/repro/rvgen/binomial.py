@@ -26,6 +26,15 @@ __all__ = ["binomial_binv", "binv_max_trials", "binomial"]
 #: Smallest positive normalised double — the ``z`` of eq. 14.
 _TINY = sys.float_info.min
 
+#: Cap on a chunk size, so it stays a practical integer.
+_MAX_CHUNK = 1 << 62
+
+#: A seed term ``(1-q)^n`` above this is far from underflow: ``n`` is
+#: then below :func:`binv_max_trials` (whose bound is ``(1-q)^n >= z``
+#: with ``z`` about 2.2e-308), so the chunked path would run exactly one
+#: BINV chunk of ``n`` trials, and :func:`binomial` runs it directly.
+_SAFE_SEED = 1e-300
+
 
 def _validate(n: int, q: float) -> None:
     if n < 0:
@@ -42,12 +51,12 @@ def binv_max_trials(q: float, tiny: float = _TINY) -> int:
     stays a practical integer.
     """
     if not 0.0 < q < 1.0:
-        return 1 << 62
+        return _MAX_CHUNK
     denom = -math.log1p(-q)
-    cap = float(1 << 62)
+    cap = float(_MAX_CHUNK)
     limit = -math.log(tiny) / denom if denom > 0.0 else cap
     if limit >= cap:  # tiny/subnormal q: any realistic N is safe
-        return 1 << 62
+        return _MAX_CHUNK
     return max(1, int(limit))
 
 
@@ -68,6 +77,12 @@ def binomial_binv(n: int, q: float, rng: RngStream) -> int:
             f"(1-q)^n underflowed for n={n}, q={q}; "
             f"split into chunks of at most {binv_max_trials(q)} trials"
         )
+    return _binv(n, q, seed, rng)
+
+
+def _binv(n: int, q: float, seed: float, rng: RngStream) -> int:
+    """The BINV search for ``0 < q < 1``, ``n > 0`` and the seed term
+    ``seed = (1-q)^n > 0``: one uniform, then walk the CDF."""
     u = rng.uniform()
     i = 0
     prob = seed  # Pr{X = i}
@@ -87,13 +102,19 @@ def binomial(n: int, q: float, rng: RngStream, chunk: Optional[int] = None) -> i
 
     Splits ``n`` into underflow-safe chunks per eqs. 14–15 and sums the
     per-chunk BINV draws (valid by eq. 12).  ``chunk`` overrides the
-    automatic chunk size (used by tests).
+    automatic chunk size (used by tests).  Far from underflow the
+    automatic split is one chunk, which runs without computing the
+    chunk size; the draw and the uniforms consumed are the same.
     """
     _validate(n, q)
     if q == 1.0:
         return n
     if q == 0.0 or n == 0:
         return 0
+    if chunk is None and n <= _MAX_CHUNK:
+        seed = math.pow(1.0 - q, n)
+        if seed > _SAFE_SEED:
+            return _binv(n, q, seed, rng)
     limit = chunk if chunk is not None else binv_max_trials(q)
     if limit <= 0:
         raise DistributionError(f"chunk size must be positive, got {limit}")

@@ -1,5 +1,7 @@
 """Tests for repro.graphs.graph.SimpleGraph."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,32 @@ class TestConstruction:
     def test_from_edges_duplicate_rejected(self):
         with pytest.raises(NotSimpleError):
             SimpleGraph.from_edges(3, [(0, 1), (1, 0)])
+
+    def test_from_edges_self_loop_rejected(self):
+        with pytest.raises(NotSimpleError):
+            SimpleGraph.from_edges(3, [(0, 1), (2, 2)])
+
+    @pytest.mark.parametrize("edge", [(-1, 1), (1, -1), (0, 3), (3, 0)])
+    def test_from_edges_out_of_range_rejected(self, edge):
+        # A list index would wrap -1 to the last vertex without a check.
+        with pytest.raises(GraphError):
+            SimpleGraph.from_edges(3, [(0, 1), edge])
+
+    def test_from_edges_duplicate_across_chained_inputs_rejected(self):
+        with pytest.raises(NotSimpleError):
+            SimpleGraph.from_edges(
+                4, itertools.chain([(0, 1), (2, 3)], [(3, 0), (1, 0)]))
+
+    def test_from_edges_matches_per_edge_build(self, er_graph):
+        edges = list(er_graph.edges())
+        bulk = SimpleGraph.from_edges(er_graph.num_vertices, iter(edges))
+        single = SimpleGraph(er_graph.num_vertices)
+        for u, v in edges:
+            single.add_edge(u, v)
+        assert bulk == single
+        assert bulk.num_edges == single.num_edges
+        assert list(bulk.edges()) == list(single.edges())
+        bulk.check_invariants()
 
     def test_copy_is_deep(self, tiny_graph):
         c = tiny_graph.copy()

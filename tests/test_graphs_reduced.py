@@ -37,6 +37,11 @@ class TestOwnership:
         assert r.num_edges == tiny_graph.num_edges
         assert sorted(r.edges()) == tiny_graph.edge_list()
 
+    def test_from_simple_keeps_graph_edge_order(self, er_graph):
+        r = ReducedAdjacencyGraph.from_simple(er_graph)
+        assert list(r.edges()) == list(er_graph.edges())
+        r.check_invariants()
+
     def test_from_simple_subset(self, tiny_graph):
         r = ReducedAdjacencyGraph.from_simple(tiny_graph, vertices=[0, 1])
         # edges with lower endpoint 0 or 1: (0,1), (0,3), (1,2)

@@ -56,6 +56,17 @@ class TestPartitionContract:
                 union.extend(part.edges())
             assert sorted(union) == er_graph.edge_list()
 
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_build_partitions_keeps_graph_edge_order(self, er_graph, p, rng):
+        # Samplers index into each pool, so same-seed runs depend on
+        # every rank listing its edges in graph.edges() order.
+        order = list(er_graph.edges())
+        for scheme in all_schemes(er_graph, p, rng):
+            parts = build_partitions(er_graph, scheme)
+            for r, part in enumerate(parts):
+                assert list(part.edges()) == [
+                    e for e in order if scheme.owner(e[0]) == r]
+
     def test_owner_out_of_range_raises(self, er_graph, rng):
         for scheme in all_schemes(er_graph, 4, rng):
             with pytest.raises(PartitionError):

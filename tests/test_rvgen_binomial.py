@@ -1,5 +1,6 @@
 """Tests for repro.rvgen.binomial — BINV and underflow splitting."""
 
+import importlib
 import math
 
 import pytest
@@ -91,6 +92,40 @@ class TestSplitBinomial:
         draws = [binomial(n, q, rng, chunk=7) for _ in range(reps)]
         mean = sum(draws) / reps
         assert mean == pytest.approx(n * q, rel=0.05)
+
+    def test_one_chunk_draw_matches_forced_single_chunk(self):
+        # Far from underflow the automatic split is a single chunk: the
+        # draw and the stream position after it match an explicit one.
+        grid = [(n, q) for n in (1, 2, 17, 300, 5_000, 60_000)
+                for q in (1e-12, 1e-4, 0.01, 0.3, 0.5, 0.97)
+                if math.pow(1.0 - q, n) > 1e-250]
+        assert len(grid) >= 25
+        for n, q in grid:
+            for seed in range(3):
+                auto, forced = RngStream(seed), RngStream(seed)
+                assert (binomial(n, q, auto)
+                        == binomial(n, q, forced, chunk=n)), (n, q, seed)
+                assert auto.uniform() == forced.uniform(), (n, q, seed)
+
+    def test_underflowing_draw_still_splits(self, monkeypatch):
+        # The package re-exports the function under the module's name.
+        module = importlib.import_module("repro.rvgen.binomial")
+        calls = []
+
+        def counting(q, *args):
+            calls.append(q)
+            return binv_max_trials(q, *args)
+
+        monkeypatch.setattr(module, "binv_max_trials", counting)
+        n, q = 10**6, 0.01
+        assert n > binv_max_trials(q)
+        auto, chunked = RngStream(3), RngStream(3)
+        x = binomial(n, q, auto)
+        assert calls == [q]  # the chunk size was computed
+        assert x == binomial(n, q, chunked, chunk=binv_max_trials(q))
+        assert auto.uniform() == chunked.uniform()
+        binomial(50, 0.3, RngStream(3))
+        assert calls == [q]  # a one-chunk draw needs no chunk size
 
     def test_bad_chunk_rejected(self, rng):
         with pytest.raises(DistributionError):

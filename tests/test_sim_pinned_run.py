@@ -27,6 +27,12 @@ The final edge list is pinned through the SHA-256 of its sorted
 ``repr``.  Each run performs 600 switches on 1,200 edges in steps of
 300: two steps, or five in the crash run, whose survivors re-budget the
 dead rank's completed switches.
+
+Every run uses 8 ranks except ``ranks64``, a plain run at 64 ranks.  It
+pins what p=8 does not reach: the 64-cell multinomial, the depth-6
+termination tree and 64-member collectives.  Its values were captured
+at 5a83e46, before the interpreter overhead of the sim switch path was
+cut.
 """
 
 import hashlib
@@ -60,6 +66,11 @@ PINNED = {
         1445.9060000000038, 7385, 756,
         "621780fc5fa78cc75468e52cddf9039f8cdc2925e3dc3cbab28925bece9010d9",
     ),
+    "ranks64": (
+        {"num_ranks": 64}, 2,
+        260.5200000000005, 3926, 654,
+        "b40c5f747cc31da7d1353ab59ff33494bce45871e175d24472c65a87680b16b4",
+    ),
 }
 
 
@@ -68,8 +79,8 @@ def graph():
     return erdos_renyi_gnm(300, 1200, RngStream(11))
 
 
-def _run(graph, **kwargs):
-    return parallel_edge_switch(graph, 8, t=600, step_size=300,
+def _run(graph, num_ranks=8, **kwargs):
+    return parallel_edge_switch(graph, num_ranks, t=600, step_size=300,
                                 scheme="hp-u", seed=5, **kwargs)
 
 
