@@ -2,14 +2,16 @@
 
 Correctness tooling for the distributed switch protocol (Sections
 4.4/4.5): every rank can record its conversation events (initiate →
-request → validate → reserve → commit → ack / retry / abort) into a
+request → validate → reserve → commit / retry / abort) into a
 bounded ring buffer, while an online auditor checks protocol
 invariants at event, step, and run boundaries:
 
-* per-conversation checkout/reservation/ack balance (each open
-  conversation resolved exactly once, acknowledgements drained);
+* per-conversation checkout/reservation balance (each open
+  conversation resolved exactly once);
+* a sealed step end — no conversation message reaches a rank after
+  its phase-1 termination report (runs without fault tolerance);
 * quiescence at every step boundary — no initiator or servant state,
-  no reservations, no checked-out edges, no outstanding acks;
+  no reservations, no checked-out edges;
 * budget conservation — per step, ``assigned == completed +
   forfeited``; per run, ``t == completed + unfulfilled``;
 * global edge-count conservation at every step's allgather.

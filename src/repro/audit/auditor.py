@@ -3,9 +3,9 @@
 One :class:`ProtocolAuditor` per rank.  The protocol handlers feed it
 conversation lifecycle hooks; the rank program feeds it step and run
 boundaries.  Every hook records a flight-recorder event *and* updates
-a small ledger of open conversations and outstanding acknowledgements;
-any inconsistency raises :class:`~repro.errors.ProtocolAuditError`
-with the offending conversation's event trace attached.
+a small ledger of open conversations; any inconsistency raises
+:class:`~repro.errors.ProtocolAuditError` with the offending
+conversation's event trace attached.
 
 Invariants checked
 ------------------
@@ -13,14 +13,15 @@ Invariants checked
 Event level
     * a conversation is opened at most once per rank and resolved
       (commit/abort/retry) exactly once;
-    * a CommitAck only arrives while acks are outstanding for its
-      conversation.
+    * termination is sealed — without a fault-tolerance channel, no
+      conversation message reaches a rank after its phase-1 report
+      (for the root, after its final decision) in the same step: the
+      report claims that nothing is owed to the rank any more.
 
 Step boundary (after DoneAll, at the step allgather)
-    * ledger quiescence — no open conversations, no acks due;
+    * ledger quiescence — no open conversations;
     * live-state quiescence — no initiator/servant state, no
-      reservations, no checked-out edges (``pool_size == num_edges``),
-      no outstanding acks on the rank itself;
+      reservations, no checked-out edges (``pool_size == num_edges``);
     * budget conservation — ``assigned == completed + forfeited`` for
       the step just finished;
     * global edge-count conservation — the allgathered ``Σ|E_i|``
@@ -98,7 +99,7 @@ class ProtocolAuditor:
     """Per-rank online invariant checker; see the module docstring."""
 
     __slots__ = (
-        "rank", "recorder", "trail", "open_convs", "acks_due",
+        "rank", "recorder", "trail", "open_convs", "sealed",
         "initial_global_edges", "_step_assigned", "_completed_base",
         "_forfeited_base",
     )
@@ -109,7 +110,8 @@ class ProtocolAuditor:
         self.recorder = FlightRecorder(rank, config.ring)
         self.trail = config.trail
         self.open_convs: Dict[Conv, _ConvLedger] = {}
-        self.acks_due: Dict[Conv, int] = {}
+        #: This step's phase-1 report was made (see :meth:`seal`).
+        self.sealed = False
         self.initial_global_edges: Optional[int] = None
         self._step_assigned = 0
         self._completed_base = 0
@@ -162,32 +164,18 @@ class ProtocolAuditor:
             else "commit"
         self.record(kind, conv, f"close role={ledger.role}")
 
-    def acks_expected(self, conv: Conv, count: int) -> None:
-        if conv in self.acks_due:
-            self.fail("acks registered twice", conv)
-        self.acks_due[conv] = count
+    def seal(self) -> None:
+        """This rank reported termination phase 1 (fault-free runs):
+        no conversation message may reach it for the rest of the step."""
+        self.sealed = True
 
-    def ack_received(self, conv: Conv) -> None:
-        left = self.acks_due.get(conv)
-        if left is None:
-            self.fail("CommitAck with no acks outstanding", conv)
-        if left == 1:
-            del self.acks_due[conv]
-        else:
-            self.acks_due[conv] = left - 1
-        self.record("commit_ack", conv, "recv")
-
-    def ack_cancelled(self, conv: Conv, dead_rank: int) -> None:
-        """An expected CommitAck will never come — its sender died.
-        The debt is forgiven, not paid (fault tolerance only)."""
-        left = self.acks_due.get(conv)
-        if left is None:
-            self.fail("ack cancelled with no acks outstanding", conv)
-        if left == 1:
-            del self.acks_due[conv]
-        else:
-            self.acks_due[conv] = left - 1
-        self.record("ack_cancel", conv, f"dead={dead_rank}")
+    def conv_message(self, source: int, payload) -> None:
+        """A conversation message is about to be handled here."""
+        if self.sealed:
+            self.fail(
+                f"{type(payload).__name__} from rank {source} reached "
+                f"this rank after its phase-1 termination report",
+                payload.conv)
 
     def rebase_edges(self, global_edges: int, note: str = "") -> None:
         """A rank died: its partition leaves the global edge total, so
@@ -202,6 +190,7 @@ class ProtocolAuditor:
 
     def begin_step(self, step: int, assigned: int, report) -> None:
         self.recorder.step = step
+        self.sealed = False
         self._step_assigned = assigned
         self._completed_base = report.switches_completed
         self._forfeited_base = report.forfeited
@@ -215,9 +204,6 @@ class ProtocolAuditor:
             self.fail(
                 f"{len(self.open_convs)} conversation(s) still open at "
                 f"step end", conv)
-        if self.acks_due:
-            conv = next(iter(self.acks_due))
-            self.fail("outstanding CommitAcks at step end", conv)
         self._check_quiescent(rank_state, f"step {step} end")
         report = rank_state.report
         completed = report.switches_completed - self._completed_base
@@ -239,9 +225,6 @@ class ProtocolAuditor:
             self.fail(
                 f"{len(self.open_convs)} conversation(s) open at run end",
                 next(iter(self.open_convs)))
-        if self.acks_due:
-            self.fail("outstanding CommitAcks at run end",
-                      next(iter(self.acks_due)))
         self._check_quiescent(rank_state, "run end")
         self.record("run_end")
 
@@ -253,9 +236,6 @@ class ProtocolAuditor:
             self.fail(
                 f"{len(rank_state.servant)} servant conversation(s) "
                 f"linger at {where}", next(iter(rank_state.servant)))
-        if rank_state.ack_wait:
-            self.fail(f"unacknowledged commits linger at {where}",
-                      next(iter(rank_state.ack_wait)))
         if rank_state.reserved:
             sample = sorted(rank_state.reserved)[:4]
             self.fail(

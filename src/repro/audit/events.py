@@ -12,20 +12,18 @@ request     SwitchRequest received (partner role)
 validate    Validate received (owner/initiator role)
 reserve     replacement edges reserved (note: count)
 commit      Commit sent/received (note: direction)
-commit_ack  CommitAck sent/received (note: direction)
 retry       Retry sent/received (note: direction + reason)
 abort       Abort sent/received (note: direction)
 local       fully local switch committed (zero messages)
 forfeit     operations given up (note: count + reason)
-done_up     DoneUp sent to the termination-tree parent
-done_all    DoneAll received/forwarded; serve loop exits
+done_up     DoneUp sent towards the termination root (note: phase)
+done_all    DoneAll received or broadcast by the root (note: phase)
 step_end    step boundary passed all invariant checks
 run_end     run boundary reached
 violation   an invariant check failed (the auditor raises too)
 retransmit  an unacked frame was retransmitted (fault tolerance)
 dup_drop    a duplicate frame was suppressed on receive
 rank_dead   a peer's death was learned (note: cleanup performed)
-ack_cancel  an expected CommitAck was forgiven (dead acker)
 checkpoint  a step-boundary snapshot was offered/restored
 drain       end-of-run drain consumed leftover traffic (note: count)
 ========== =====================================================
@@ -50,7 +48,6 @@ EVENT_KINDS = frozenset({
     "validate",
     "reserve",
     "commit",
-    "commit_ack",
     "retry",
     "abort",
     "local",
@@ -63,7 +60,6 @@ EVENT_KINDS = frozenset({
     "retransmit",
     "dup_drop",
     "rank_dead",
-    "ack_cancel",
     "checkpoint",
     "drain",
 })

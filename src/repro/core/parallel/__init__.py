@@ -9,7 +9,7 @@ Layers, bottom up:
   machine each rank runs (initiator / partner / edge-owner roles);
 * :mod:`~repro.core.parallel.rank_program` — the SPMD generator
   combining the step loop, multinomial work distribution, switching,
-  and the termination tree;
+  and the two-phase termination wave;
 * :mod:`~repro.core.parallel.driver` — the one-call public API
   :func:`~repro.core.parallel.driver.parallel_edge_switch`.
 """

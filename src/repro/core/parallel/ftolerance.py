@@ -24,11 +24,13 @@ handlers and the transport:
   disables the suppression — the mutation-test knob: the auditor must
   then catch the resulting double-applies;
 * **bounded delivery** — after ``max_retries`` retransmissions a frame
-  is abandoned.  Protocol progress never depends on an abandoned
-  frame: every payload class is either gated (a lost Commit/Retry/
-  DoneUp blocks the step from ending, so the sender keeps serving and
-  retransmitting until it lands) or idempotent junk whose only copy
-  at risk is the one acknowledging an already-acknowledged exchange.
+  is abandoned.  Until then the step's two-phase termination wave
+  holds the step open for every conversation payload: a lost
+  SwitchRequest, Validate or Retry keeps its initiator from reporting
+  phase 0, a lost Commit or Abort keeps its servant from reporting
+  phase 1, and a lost DoneUp keeps the root from deciding.  The sender
+  stays in its serve loop and retransmits until the frame lands.  A
+  lost DoneAll copy is covered by the other ranks' re-floods.
 
 Everything here is pure bookkeeping — no yields, no I/O — so it can be
 unit-tested without a cluster and reused identically by all three
@@ -201,8 +203,8 @@ class ReliableChannel:
     def clear_pending(self) -> int:
         """Drop all unacked frames (used at points where the protocol
         has independently proven delivery, e.g. a completed step's
-        done-gating: only the acks, not the payloads, can be missing).
-        Returns how many were dropped."""
+        termination wave: only the acks, not the payloads, can be
+        missing).  Returns how many were dropped."""
         n = len(self.pending)
         self.pending.clear()
         return n

@@ -18,7 +18,7 @@ Message flow of a successful global switch::
     P_j --Validate--> owner --Validate--> ... --Validate--> P_i
     P_i: validate own edges, apply local ops
     P_i --Commit--> every other participant
-    participant: apply ops, --CommitAck--> P_i
+    participant: apply ops
 
 On any validation failure the failing rank sends :class:`Abort` to all
 participants that already hold state and :class:`Retry` to the
@@ -26,7 +26,9 @@ initiator, which releases ``e1`` and restarts with a fresh pair — the
 restart rule of Section 4.4.
 
 All messages travel under one tag (:data:`TAG_PROTO`); dispatch is by
-payload type.  FIFO per channel is guaranteed by the backends.
+payload type.  FIFO per channel is guaranteed by the backends.  Nothing
+acknowledges a Commit: step termination (:class:`DoneUp`,
+:class:`DoneAll`) proves every Commit and Abort has landed.
 
 Payloads are :class:`typing.NamedTuple` subclasses, like the ops of
 :mod:`repro.mpsim.ops`: one is built per protocol hop, and a tuple is
@@ -50,7 +52,6 @@ __all__ = [
     "Retry",
     "Abort",
     "Commit",
-    "CommitAck",
     "DoneUp",
     "DoneAll",
     "Frame",
@@ -109,32 +110,26 @@ class Commit(NamedTuple):
     conv: Conv
 
 
-class CommitAck(NamedTuple):
-    """Participant → initiator: my ops are applied."""
-
-    conv: Conv
-
-
 class DoneUp(NamedTuple):
-    """Termination tree, leafward→rootward: my subtree finished its
-    step quota.
+    """Termination wave, towards the root: the sender and every rank
+    below it satisfy ``phase``'s condition for step ``step``.
 
-    A rank may only send this once it is *fully drained*: its own
-    conversations applied and acknowledged everywhere (empty ack
-    table) **and** no servant state held for other ranks'
-    conversations — a servant entry means a Commit or Abort is still
-    in flight towards this rank, and declaring done before it lands
-    would let DoneAll overtake the cleanup (the abort/termination
-    race)."""
+    Phase 0: every initiator is done (quota spent, no conversation of
+    its own open).  Phase 1: no servant state is held.  Both
+    conditions are stable once reported, so a report never goes stale
+    (docs/protocol.md, *Termination*)."""
 
     step: int
+    phase: int
 
 
 class DoneAll(NamedTuple):
-    """Termination tree, root→leafward: the whole step is finished;
-    stop serving and proceed to the step barrier."""
+    """Termination wave, away from the root: every rank reported
+    ``phase``.  Phase 0 starts phase 1; phase 1 ends the step, so the
+    receiver stops serving and proceeds to the step barrier."""
 
     step: int
+    phase: int
 
 
 class Frame(NamedTuple):
@@ -164,7 +159,6 @@ NBYTES = {
     Retry: 32,
     Abort: 24,
     Commit: 24,
-    CommitAck: 24,
     DoneUp: 16,
     DoneAll: 16,
     FrameAck: 16,

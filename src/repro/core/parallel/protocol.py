@@ -43,7 +43,6 @@ from repro.core.parallel.ftolerance import ReliableChannel
 from repro.core.parallel.messages import (
     Abort,
     Commit,
-    CommitAck,
     Conv,
     FRAME_OVERHEAD,
     NBYTES,
@@ -444,17 +443,11 @@ class ConversationMixin:
             yield self._proto(v, Commit(msg.conv))
         # Pipelining: the switch is complete for initiation purposes the
         # moment the commits are sent — the next operation may start
-        # while acknowledgements are in flight.  The outstanding-ack
-        # table keeps step termination honest (_propagate_done waits
-        # for it to drain before DoneUp).
-        ackers = set(msg.visited) - self.dead if self.dead \
-            else set(msg.visited)
-        if ackers:
-            self.ack_wait[msg.conv] = ackers
+        # while they are in flight.  Each receiver holds a servant entry
+        # until its Commit lands, and termination's phase 1 waits for
+        # every servant table to empty.
         if aud is not None:
             aud.record("commit", msg.conv, f"send to={list(msg.visited)}")
-            if ackers:
-                aud.acks_expected(msg.conv, len(ackers))
             aud.conv_close(msg.conv, "commit")
         self.report.bump_span(len(msg.visited) + 1)
         self._complete_active()
@@ -505,19 +498,19 @@ class ConversationMixin:
         yield  # pragma: no cover
 
     def handle_commit(self, source: int, msg: Commit):
-        """Servant role: apply my share of the switch and acknowledge."""
+        """Servant role: apply my share of the switch.  Nothing is sent
+        back; the initiator counted the switch when it committed."""
         st = self.servant.pop(msg.conv, None)
         if st is None:
             if self.channel is not None:
                 # Torn commit: our state went down with a dead peer but
                 # the initiator committed before learning of the death.
-                # Acknowledge anyway so its ack table drains — the
-                # switch is accepted as torn (simplicity still holds;
-                # degree conservation is knowingly given up on death).
+                # The switch is accepted as torn (simplicity still
+                # holds; degree conservation is knowingly given up on
+                # death).
                 if self.audit is not None:
                     self.audit.record("commit", msg.conv,
-                                      "recv unknown ack_anyway")
-                yield self._proto(msg.conv[0], CommitAck(msg.conv))
+                                      "recv stale ignored")
                 return
             raise ProtocolError(
                 f"rank {self.ctx.rank}: Commit for unknown conversation "
@@ -526,31 +519,6 @@ class ConversationMixin:
             self.audit.conv_close(msg.conv, "commit")
         self._apply_local(st.checked_out, st.reserved)
         yield self.check_ops[len(st.checked_out) + len(st.reserved)]
-        if self.audit is not None:
-            self.audit.record("commit_ack", msg.conv, "send")
-        yield self._proto(msg.conv[0], CommitAck(msg.conv))
-
-    def handle_commit_ack(self, source: int, msg: CommitAck):
-        """Initiator role: drain the outstanding-ack table."""
-        waiting = self.ack_wait.get(msg.conv)
-        if waiting is None or source not in waiting:
-            if self.channel is not None:
-                # A torn-commit ack-anyway, or the acker's death already
-                # forgave this debt — either way there is nothing owed.
-                if self.audit is not None:
-                    self.audit.record("commit_ack", msg.conv,
-                                      "recv stale ignored")
-                return
-            raise ProtocolError(
-                f"rank {self.ctx.rank}: CommitAck for unknown conversation "
-                f"{msg.conv}")
-        if self.audit is not None:
-            self.audit.ack_received(msg.conv)
-        waiting.discard(source)
-        if not waiting:
-            del self.ack_wait[msg.conv]
-        return
-        yield  # pragma: no cover
 
     # -- local application ------------------------------------------------------
 

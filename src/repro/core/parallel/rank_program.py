@@ -6,9 +6,9 @@ Per step (Section 4.5's three-phase summary):
    parallel multinomial algorithm with ``q_i = |E_i|/|E|``;
 2. **Switch & serve** — each rank runs its conversation loop: initiate
    its own operations (one in flight at a time) while serving every
-   incoming protocol message; a binomial termination tree detects when
-   every rank's quota is done *and fully applied everywhere* (commit
-   acknowledgements make DoneUp safe to propagate);
+   incoming protocol message; a two-phase termination wave over a
+   binary tree detects when every rank's quota is done (phase 0) and
+   then when every Commit and Abort has landed (phase 1);
 3. **Refresh** — an allgather collects the new ``|E_i|`` (and any
    forfeited operations), the probability vector is rebuilt, and the
    next step begins.
@@ -26,13 +26,13 @@ serve loop in three ways, all dormant when the feature is off:
   loop uses a *timed* receive and retransmits unacked frames on expiry;
 * rank deaths (backend obituaries, or ``None`` slots in the step
   allgather) trigger :meth:`SwitchRank._on_rank_dead`: in-flight
-  conversations with the dead rank are forfeited, its acks forgiven,
-  its budget share re-budgeted at the next barrier;
-* the binomial termination tree is replaced by a *flat* scheme rooted
-  at the lowest live rank (a tree cannot survive the death of an inner
-  node): everyone sends DoneUp to the live root, the root broadcasts
-  DoneAll, and every DoneAll receiver re-floods it so the broadcast
-  survives even the root dying halfway through it.
+  conversations with the dead rank are forfeited, its budget share
+  re-budgeted at the next barrier;
+* the termination wave runs over a *flat* topology rooted at the
+  lowest live rank instead of the tree (a tree cannot survive the
+  death of an inner node): everyone sends DoneUp to the live root, the
+  root broadcasts DoneAll, and every DoneAll receiver re-floods it so
+  the broadcast survives even the root dying halfway through it.
 
 Checkpoint/restart: at a step boundary the protocol is quiescent (no
 messages in flight, no open conversations), so
@@ -45,7 +45,7 @@ bit-identically on the discrete-event backend.
 from __future__ import annotations
 
 import pickle
-from typing import List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.audit.auditor import ProtocolAuditor
 from repro.core.constraints import FailureReason
@@ -53,7 +53,6 @@ from repro.core.parallel.ftolerance import ReliableChannel
 from repro.core.parallel.messages import (
     Abort,
     Commit,
-    CommitAck,
     DoneAll,
     DoneUp,
     Frame,
@@ -113,7 +112,6 @@ class SwitchRank(ConversationMixin):
             Retry: self.handle_retry,
             Abort: self.handle_abort,
             Commit: self.handle_commit,
-            CommitAck: self.handle_commit_ack,
         }
         self.tracker = VisitTracker(self.part.edges())
         # audit (off by default: self.audit stays None and every hook
@@ -142,11 +140,9 @@ class SwitchRank(ConversationMixin):
         self.forfeited_convs = set()
         self.completed_total = [0] * ctx.size
         self._accounted_dead: Set[int] = set()
-        self.done_from: Set[int] = set()
-        #: Ranks a DoneAll copy for the current step arrived from (the
-        #: implicit acknowledgement in ``_ft_finish_step``).
+        #: Ranks a final DoneAll copy for the current step arrived from
+        #: (the implicit acknowledgement in ``_ft_finish_step``).
         self.done_heard: Set[int] = set()
-        self._done_sent_to: Optional[int] = None
         # checkpoint/restart (in-process backends only; see driver)
         self.checkpoint_sink = getattr(args, "checkpoint_sink", None)
         self.restore_state = getattr(args, "restore_state", None)
@@ -156,7 +152,6 @@ class SwitchRank(ConversationMixin):
         self.reserved = set()
         self.servant = {}
         self.active: Optional[InitiatorState] = None
-        self.ack_wait = {}
         self.serial = 0
         self.consecutive_failures = 0
         # step state
@@ -165,14 +160,23 @@ class SwitchRank(ConversationMixin):
         self.step_forfeited = 0
         self.step_index = 0
         self._step_completed_base = 0
-        # termination tree (binary, rooted at 0; fault tolerance swaps
-        # in the flat live-root scheme instead)
+        # termination wave (see _done_gate): 0 and 1 are the phases
+        # being reported, 2 means DoneAll ended the step here
+        self.phase = 0
+        #: Per phase, the ranks whose DoneUp for it arrived this step.
+        self.reported: Tuple[Set[int], Set[int]] = (set(), set())
+        #: Where this phase's DoneUp went (None: not sent yet).
+        self.up_to: Optional[int] = None
+        # Topology: ``up`` is where DoneUp goes (-1 at the root) and
+        # ``waiting_for`` the ranks whose DoneUp must arrive first.  A
+        # binary tree rooted at 0; fault tolerance uses the flat
+        # live-root scheme instead (_flat_topology).
         me = ctx.rank
-        self.parent = (me - 1) // 2 if me > 0 else -1
+        self.up = (me - 1) // 2 if me > 0 else -1
         self.children = [c for c in (2 * me + 1, 2 * me + 2) if c < ctx.size]
-        self.children_done = 0
-        self.done_up_sent = False
-        self.done_all = False
+        self.waiting_for: FrozenSet[int] = frozenset(self.children)
+        if ft is not None:
+            self._flat_topology()
 
     # -- main -----------------------------------------------------------
 
@@ -270,28 +274,20 @@ class SwitchRank(ConversationMixin):
                                  64 + 16 * self.part.pool_size)
         self.step_forfeited = 0
         self._step_completed_base = self.report.switches_completed
-        self.children_done = 0
-        self.done_up_sent = False
-        self.done_all = False
-        self.done_from.clear()
+        self.phase = 0
+        self.reported = (set(), set())
+        self.up_to = None
         self.done_heard.clear()
-        self._done_sent_to = None
 
         ft = self.channel is not None
         probe = _PROBE_ANY if ft else PROBE_PROTO
         recv = self.ft_recv if ft else RECV_PROTO
         handlers = self.handlers
-        num_children = len(self.children)
+        aud = self.audit
         while True:
-            # Fault-free, enter _propagate_done only when its guard can
-            # pass: most turns would build a generator that yields
-            # nothing.
-            if ft or not (self.done_up_sent or self.quota > 0
-                          or self.active is not None or self.ack_wait
-                          or self.servant
-                          or self.children_done < num_children):
-                yield from self._propagate_done()
-            if self.done_all:
+            while self._done_gate():
+                yield from self._report_done()
+            if self.phase == 2:
                 break
             if self.quota > 0 and self.active is None:
                 if not (yield probe):
@@ -313,6 +309,8 @@ class SwitchRank(ConversationMixin):
             if handler is None:
                 yield from self._dispatch(msg)
             else:
+                if aud is not None:
+                    aud.conv_message(msg.source, msg.payload)
                 yield from handler(msg.source, msg.payload)
         if ft:
             yield from self._ft_finish_step()
@@ -343,26 +341,21 @@ class SwitchRank(ConversationMixin):
                     return
         kind = type(payload)
         if kind is DoneUp:
-            if not self._check_step(payload.step):
-                return
-            if ch is not None:
-                self.done_from.add(msg.source)
-            else:
-                self.children_done += 1
+            if self._check_step(payload.step):
+                self.reported[payload.phase].add(msg.source)
             return
         if kind is DoneAll:
             if not self._check_step(payload.step):
                 return
-            if self.audit is not None:
-                self.audit.record("done_all", note=f"from={msg.source}")
-            if ch is None:
-                for child in self.children:
-                    yield Send(child, TAG_PROTO, DoneAll(self.step_index),
-                               NBYTES[DoneAll])
-            else:
+            if payload.phase:
                 self.done_heard.add(msg.source)
-                yield from self._ft_flood_done()
-            self.done_all = True
+            if payload.phase < self.phase:
+                return  # a flood copy of a phase that already ended here
+            if self.audit is not None:
+                self.audit.record(
+                    "done_all",
+                    note=f"phase={payload.phase} from={msg.source}")
+            yield from self._end_phase(payload.phase)
             return
         handler = self.handlers.get(kind)
         if handler is None:
@@ -384,47 +377,62 @@ class SwitchRank(ConversationMixin):
             f"rank {self.ctx.rank}: termination message for step "
             f"{step} during step {self.step_index}")
 
-    def _propagate_done(self):
-        """Send DoneUp/DoneAll when this subtree has fully finished.
+    def _done_gate(self) -> bool:
+        """May this rank report the current termination phase now?
 
-        Safe because a rank only declares itself done once it is fully
-        drained: its own final conversation applied *and acknowledged*
-        everywhere, and — crucially — no servant state held for other
-        ranks' conversations.  A servant entry means a Commit or Abort
-        is still in flight towards this rank (e.g. an Abort racing a
-        Retry the initiator already consumed); sending DoneUp before it
-        lands would let the root declare DoneAll with cleanup traffic
-        still in the air, leaking checkouts and reservations past the
-        step (and, on the last step, past the run).  So by the time the
-        root has heard from the whole tree there is no switch traffic
-        left in flight anywhere."""
-        if self.channel is not None:
-            yield from self._ft_propagate_done()
+        The one done-gate of both topologies.  Phase 0 reports "every
+        initiator here is done": quota spent and no conversation of my
+        own open.  Once every rank reported it, no SwitchRequest,
+        Validate or Retry is in flight and none can be created.  Phase
+        1 (started by DoneAll for phase 0) reports "I hold no servant
+        state".  Every Commit and Abort goes to a rank that holds a
+        servant entry until the message lands, so the final DoneAll
+        proves all of them arrived.  Neither condition reverts within
+        its phase, so an early report cannot go stale.  Beyond its own
+        condition a rank waits for ``waiting_for`` to report, and
+        reports once per phase to its current ``up``."""
+        phase = self.phase
+        if phase == 0:
+            if self.quota > 0 or self.active is not None:
+                return False
+        elif phase == 2 or self.servant:
+            return False
+        return (self.up_to != self.up
+                and self.waiting_for <= self.reported[phase])
+
+    def _report_done(self):
+        """Send this phase's DoneUp, or at the root end the phase."""
+        phase = self.phase
+        aud = self.audit
+        if self.up >= 0:
+            if aud is not None:
+                aud.record("done_up", note=f"phase={phase} to={self.up}")
+                if phase and self.channel is None:
+                    aud.seal()
+            self.up_to = self.up
+            yield self._proto(self.up, DoneUp(self.step_index, phase))
             return
-        if self.done_up_sent:
-            return
-        if self.quota > 0 or self.active is not None or self.ack_wait:
-            return
-        if self.servant:
-            # Abort/termination race guard: wait for the in-flight
-            # Commit/Abort (exactly one is guaranteed per servant
-            # entry) to drain before declaring this subtree done.
-            return
-        if self.children_done < len(self.children):
-            return
-        self.done_up_sent = True
-        if self.parent < 0:  # root: the whole machine is done
-            if self.audit is not None:
-                self.audit.record("done_all", note="root broadcast")
+        if aud is not None:
+            aud.record("done_all", note=f"phase={phase} root broadcast")
+            if phase and self.channel is None:
+                aud.seal()
+        yield from self._end_phase(phase)
+
+    def _end_phase(self, phase: int):
+        """Pass DoneAll for ``phase`` on and advance to the next phase:
+        down the tree, or under fault tolerance to every live rank (a
+        re-flood, so the broadcast survives the root dying halfway
+        through it; frame dedup drops each receiver's extra copies)."""
+        msg = DoneAll(self.step_index, phase)
+        if self.channel is None:
             for child in self.children:
-                yield Send(child, TAG_PROTO, DoneAll(self.step_index),
-                           NBYTES[DoneAll])
-            self.done_all = True
+                yield Send(child, TAG_PROTO, msg, NBYTES[DoneAll])
         else:
-            if self.audit is not None:
-                self.audit.record("done_up", note=f"to={self.parent}")
-            yield Send(self.parent, TAG_PROTO, DoneUp(self.step_index),
-                       NBYTES[DoneUp])
+            for r in range(self.ctx.size):
+                if r != self.ctx.rank and r not in self.dead:
+                    yield self._proto(r, msg)
+        self.phase = phase + 1
+        self.up_to = None
 
     # -- fault tolerance -------------------------------------------------
 
@@ -448,6 +456,7 @@ class SwitchRank(ConversationMixin):
             aud.record("rank_dead", note=f"rank={d}")
         if self.channel is not None:
             self.channel.cancel_dest(d)
+            self._flat_topology()
         if d < len(self.q):
             self.q[d] = 0.0  # never pick the dead as a partner again
         # My own in-flight conversation involved the dead rank: forfeit
@@ -475,76 +484,36 @@ class SwitchRank(ConversationMixin):
             if conv[0] != d and conv[0] not in self.dead:
                 yield self._proto(
                     conv[0], Retry(conv, FailureReason.DEAD_PEER.value))
-        # Acks owed by the dead are forgiven, not paid.
-        for conv in list(self.ack_wait):
-            waiting = self.ack_wait[conv]
-            if d in waiting:
-                waiting.discard(d)
-                if aud is not None:
-                    aud.ack_cancelled(conv, d)
-                if not waiting:
-                    del self.ack_wait[conv]
-        # Termination bookkeeping: a dead rank's DoneUp no longer
-        # counts, and the live root may have changed (DoneUp is re-sent
-        # by _ft_propagate_done when it did).
-        self.done_from.discard(d)
 
-    def _ft_propagate_done(self):
-        """Flat termination over the live ranks, rooted at min(live).
-
-        Beyond the fault-free done-gating (quota, active conversation,
-        commit acks, servant state), a rank must also have an *empty
-        retransmit table*: receivers acknowledge frames at dispatch
-        time, so an unacked frame means some peer has not yet processed
-        a message we sent — e.g. an Abort whose first copy was dropped.
-        Declaring done before it is acked would let DoneAll overtake
-        the retransmission and leak servant state past the step."""
-        if self.done_all or self.quota > 0 or self.active is not None \
-                or self.ack_wait or self.servant or self.channel.pending:
-            return
+    def _flat_topology(self) -> None:
+        """Fault-tolerant termination: flat, rooted at the lowest live
+        rank.  After the root's death a rank whose DoneUp went there
+        sends it again to the new root (``up_to != up``)."""
         me = self.ctx.rank
-        live_root = min(r for r in range(self.ctx.size)
-                        if r not in self.dead)
-        if me == live_root:
-            others = {r for r in range(self.ctx.size)
-                      if r != me and r not in self.dead}
-            if others <= self.done_from:
-                if self.audit is not None:
-                    self.audit.record("done_all", note="root broadcast")
-                for r in sorted(others):
-                    yield self._proto(r, DoneAll(self.step_index))
-                self.done_all = True
-        elif self._done_sent_to != live_root:
-            if self.audit is not None:
-                self.audit.record("done_up", note=f"to={live_root}")
-            yield self._proto(live_root, DoneUp(self.step_index))
-            self._done_sent_to = live_root
-            self.done_up_sent = True
-
-    def _ft_flood_done(self):
-        """Re-broadcast a received DoneAll to every live rank.  If the
-        root dies halfway through its broadcast, any rank that heard it
-        re-spreads it, so no survivor waits forever; duplicate floods
-        are suppressed by frame dedup at the receivers."""
-        for r in range(self.ctx.size):
-            if r != self.ctx.rank and r not in self.dead:
-                yield self._proto(r, DoneAll(self.step_index))
+        live = [r for r in range(self.ctx.size) if r not in self.dead]
+        if live[0] == me:
+            self.up = -1
+            self.waiting_for = frozenset(live[1:])
+        else:
+            self.up = live[0]
+            self.waiting_for = frozenset()
 
     def _ft_finish_step(self):
         """Drain the channel before the step barrier: keep serving acks
         and late frames until nothing this rank sent is outstanding.
 
-        A DoneAll copy received from rank ``r`` this step acknowledges
-        every DoneAll copy sent to ``r``: ``r`` already knows the step
-        is over, and it may have entered the barrier, where it acks
-        nothing.  So the drain ends once the only unacked frames are
-        DoneAll copies to ranks in ``done_heard`` — and no servant
-        entry is left: a conversation served after this rank's DoneUp
-        can still be owed an Abort that DoneAll overtook.  Bounded:
-        once the window closes, whatever is still unacked is dropped —
-        done-gating proves its payload already arrived (only acks can
-        be missing at this point), or it is a DoneAll flood copy
-        covered by the other flooders (see docs/protocol.md)."""
+        A final DoneAll copy received from rank ``r`` this step
+        acknowledges every DoneAll copy sent to ``r``: ``r`` already
+        knows the step is over, and it may have entered the barrier,
+        where it acks nothing.  So the drain ends once the only unacked
+        frames are DoneAll copies to ranks in ``done_heard`` — and no
+        servant entry is left: after a rank's death a forfeited chain
+        can still open a servant entry whose Abort DoneAll overtook.
+        Bounded: once the window closes, whatever is still unacked is
+        dropped — the termination wave proves its payload already
+        arrived (only acks can be missing at this point), or it is a
+        DoneAll flood copy covered by the other flooders (see
+        docs/protocol.md)."""
         ch = self.channel
         cfg = self.ftcfg
         heard = self.done_heard
@@ -570,20 +539,17 @@ class SwitchRank(ConversationMixin):
                            NBYTES[FrameAck])
                 inner = ch.accept(msg.source, payload)
                 kind = type(inner)
-                if kind is DoneAll and inner.step == self.step_index:
+                if (kind is DoneAll and inner.step == self.step_index
+                        and inner.phase):
                     heard.add(msg.source)
-                elif kind is DoneUp:
-                    # A rank re-routed its DoneUp here after a root
-                    # change; count it in case we are the new root.
-                    self.done_from.add(msg.source)
                 elif kind is Abort:
-                    # We served a conversation after our DoneUp and its
-                    # Abort lost the race with DoneAll (a dropped first
-                    # copy); the servant entry waits for it here.
+                    # We served a forfeited chain after our DoneUp and
+                    # its Abort lost the race with DoneAll; the servant
+                    # entry waits for it here.
                     yield from self.handle_abort(msg.source, inner)
                 # Anything else new can only be termination noise —
                 # every other payload was delivered before DoneAll
-                # existed (done-gating) — so it is consumed here.
+                # existed (the termination wave) — so it is consumed.
         dropped = ch.clear_pending()
         if dropped and self.audit is not None:
             self.audit.record("drain", note=f"unacked_cleared={dropped}")
@@ -716,10 +682,6 @@ class SwitchRank(ConversationMixin):
             raise ProtocolError(
                 f"rank {self.ctx.rank}: {len(self.servant)} servant "
                 "conversations at shutdown")
-        if self.ack_wait:
-            raise ProtocolError(
-                f"rank {self.ctx.rank}: {len(self.ack_wait)} unacknowledged "
-                "commits at shutdown")
         if self.reserved:
             raise ProtocolError(
                 f"rank {self.ctx.rank}: {len(self.reserved)} reservations "

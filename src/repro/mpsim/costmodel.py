@@ -10,14 +10,27 @@ compute cost, which is what makes communication the dominant cost at
 high rank counts — the regime all the scaling figures live in.
 
 Time is unitless "cost units"; only ratios matter for speedup curves.
+
+Every constant is rounded to a multiple of :data:`QUANTUM` (2⁻²⁰), so
+clock sums are exact in binary floating point and do not depend on the
+clock's starting value.  A run resumed from a checkpoint restarts its
+clocks at 0, and with exact sums it replays the uninterrupted run bit
+for bit.  Constants such as 0.8 or 0.15 are not exact in binary, so
+the rounding of each sum would depend on the offset and a resumed run
+could diverge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-__all__ = ["CostModel"]
+__all__ = ["CostModel", "QUANTUM"]
+
+#: Grid the constants are rounded to: fine enough to keep every
+#: default within 10⁻⁶ of its nominal value, coarse enough that clocks
+#: below 2³³ (about 8·10⁹) units still add exactly in a 53-bit mantissa.
+QUANTUM = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -43,6 +56,8 @@ class CostModel:
         (Section 6's ``O(N)`` sequential work).
     cell_compute:
         Fixed CPU cost per multinomial cell.
+
+    Each value is stored rounded to a multiple of :data:`QUANTUM`.
     """
 
     alpha: float = 0.8
@@ -53,6 +68,12 @@ class CostModel:
     check_compute: float = 0.15
     trial_compute: float = 0.02
     cell_compute: float = 0.02
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            object.__setattr__(self, f.name,
+                               round(value / QUANTUM) * QUANTUM)
 
     # -- point-to-point -------------------------------------------------
 

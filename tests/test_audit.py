@@ -5,8 +5,8 @@ Two halves:
 * **clean runs** — with the auditor attached, correct runs across all
   backends and partitioning schemes must pass silently and expose the
   per-rank event tail on their reports;
-* **mutation runs** — seeded protocol bugs (a leaked abort, a dropped
-  CommitAck) must be detected and reported as
+* **mutation runs** — seeded protocol bugs (a leaked abort, a
+  single-phase done-gate) must be detected and reported as
   :class:`~repro.errors.ProtocolAuditError` carrying a conversation
   event trace and the run's replay recipe (seed/scheme/backend).
 """
@@ -23,6 +23,7 @@ from repro.audit import (
 )
 from repro.core.parallel.driver import parallel_edge_switch
 from repro.core.parallel.protocol import ConversationMixin
+from repro.core.parallel.rank_program import SwitchRank
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
@@ -96,11 +97,6 @@ class TestAuditorLedger:
         aud = ProtocolAuditor(0, AuditConfig())
         with pytest.raises(ProtocolAuditError):
             aud.conv_close((4, 2), "abort")
-
-    def test_unexpected_ack_detected(self):
-        aud = ProtocolAuditor(0, AuditConfig())
-        with pytest.raises(ProtocolAuditError):
-            aud.ack_received((0, 9))
 
     def test_error_carries_conv_trace(self):
         aud = ProtocolAuditor(0, AuditConfig())
@@ -180,20 +176,23 @@ def leaky_abort():
 
 
 @pytest.fixture
-def silent_commit():
-    """Mutation: Commit applies the ops but never acknowledges."""
-    orig = ConversationMixin.handle_commit
+def sticky_gate():
+    """Mutation: the single-phase done-gate.  A rank reports phase 1 as
+    soon as its quota is done, it is idle and it holds no servant
+    state, without waiting for the phase-0 wave.  It keeps serving
+    after that report, so other ranks' conversations can still reach
+    it, and DoneAll can overtake an Abort owed to it."""
+    orig = SwitchRank._done_gate
 
-    def mutated(self, source, msg):
-        st = self.servant.pop(msg.conv, None)
-        if st is not None:
-            self._apply_local(st.checked_out, st.reserved)
-        return
-        yield  # pragma: no cover
+    def mutated(self):
+        if (self.phase == 0 and self.quota == 0 and self.active is None
+                and not self.servant):
+            self.phase = 1
+        return orig(self)
 
-    ConversationMixin.handle_commit = mutated
+    SwitchRank._done_gate = mutated
     yield
-    ConversationMixin.handle_commit = orig
+    SwitchRank._done_gate = orig
 
 
 def _run_collision_heavy(graph, seed, audit=True):
@@ -214,15 +213,19 @@ class TestMutationDetection:
         assert "open" in str(err) or "reservation" in str(err) \
             or "checked out" in str(err) or "pool" in str(err)
 
-    def test_silent_commit_detected(self, dense_tiny_graph, silent_commit):
-        with pytest.raises(ProtocolAuditError) as info:
-            for seed in range(5):
-                _run_collision_heavy(dense_tiny_graph, seed)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sticky_gate_detected(self, dense_tiny_graph, sticky_gate,
+                                  seed):
+        # Every run is caught by the termination seal, at the first
+        # conversation message that reaches a rank after its report.
+        with pytest.raises(ProtocolAuditError,
+                           match="after its phase-1 termination report"
+                           ) as info:
+            _run_collision_heavy(dense_tiny_graph, seed)
         err = info.value
-        # the dropped ack strands the initiator: the failure surfaces
-        # as a deadlock / livelock, wrapped with the cross-rank trace
-        assert isinstance(err.__cause__, (SimulationError, ProtocolError))
-        assert err.events
+        assert err.conv is not None
+        kinds = [e.kind for e in err.events]
+        assert "done_up" in kinds and kinds[-1] == "violation"
         assert err.context["scheme"] == "HP-D"
 
     def test_mutations_invisible_without_audit(self, dense_tiny_graph,

@@ -4,7 +4,9 @@ The contract: halting a run at a step boundary and resuming from the
 checkpoint must reproduce the uninterrupted run **bit-identically** on
 the discrete-event backend — same final edge list, same statistics —
 because the snapshot captures every source of randomness (partition
-state, visit tracker, RNG stream positions, budget counters).
+state, visit tracker, RNG stream positions, budget counters), and the
+cost model's constants are exact binary fractions, so simulated clocks
+restarted at 0 add up exactly as the uninterrupted run's do.
 """
 
 import os
@@ -31,8 +33,8 @@ def make_graph():
     return erdos_renyi_gnm(60, 150, RngStream(1))
 
 
-def switch(graph, **kw):
-    return parallel_edge_switch(graph, RANKS, t=T, step_size=60, seed=2,
+def switch(graph, seed=2, **kw):
+    return parallel_edge_switch(graph, RANKS, t=T, step_size=60, seed=seed,
                                 backend="sim", audit=True, **kw)
 
 
@@ -41,17 +43,19 @@ def edge_list(res):
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("halt_step", [1, 3])
-    def test_halt_resume_matches_uninterrupted(self, tmp_path, halt_step):
-        ref = switch(make_graph())
+    @pytest.mark.parametrize("halt_step", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [2, 5, 10])
+    def test_halt_resume_matches_uninterrupted(self, tmp_path, seed,
+                                               halt_step):
+        ref = switch(make_graph(), seed)
         ckdir = str(tmp_path / "ck")
 
-        halted = switch(make_graph(), checkpoint=ckdir,
+        halted = switch(make_graph(), seed, checkpoint=ckdir,
                         halt_after_step=halt_step)
         assert halted.switches_completed == halt_step * 60
         assert halted.unfulfilled == T - halt_step * 60
 
-        resumed = switch(make_graph(), resume=ckdir)
+        resumed = switch(make_graph(), seed, resume=ckdir)
         assert edge_list(resumed) == edge_list(ref)
         assert resumed.switches_completed == T
         assert resumed.unfulfilled == 0

@@ -15,7 +15,6 @@ from repro.core.parallel.driver import (
 from repro.core.parallel.messages import (
     Abort,
     Commit,
-    CommitAck,
     Retry,
     SwitchRequest,
     Validate,
@@ -95,6 +94,8 @@ class TestServantAbort:
 
 class TestServantCommit:
     def test_commit_applies_and_acks(self):
+        # Nothing acknowledges a Commit: the servant applies its share
+        # and sends nothing back (termination proves it landed).
         rank = make_rank(rank=0, size=2,
                          vertices=[0, 2, 4], edges=[(0, 5), (2, 7)])
         conv = (1, 3)
@@ -107,10 +108,7 @@ class TestServantCommit:
         assert rank.part.has_edge(2, 9)         # reservation realised
         assert not rank.reserved
         assert not rank.servant
-        assert len(sends) == 1
-        assert sends[0].dest == 1
-        assert isinstance(sends[0].payload, CommitAck)
-        assert sends[0].payload.conv == conv
+        assert sends == []
 
     def test_commit_unknown_conv_raises(self):
         rank = make_rank()
@@ -138,22 +136,6 @@ class TestInitiatorRetry:
         rank = make_rank()
         with pytest.raises(ProtocolError):
             drain(rank.handle_retry(1, Retry((0, 5), "loop")))
-
-
-class TestCommitAcks:
-    def test_acks_drain(self):
-        rank = make_rank()
-        conv = (0, 2)
-        rank.ack_wait[conv] = {1, 3}
-        drain(rank.handle_commit_ack(1, CommitAck(conv)))
-        assert rank.ack_wait[conv] == {3}
-        drain(rank.handle_commit_ack(3, CommitAck(conv)))
-        assert conv not in rank.ack_wait
-
-    def test_unknown_ack_raises(self):
-        rank = make_rank()
-        with pytest.raises(ProtocolError):
-            drain(rank.handle_commit_ack(1, CommitAck((0, 7))))
 
 
 class TestPartnerRequest:

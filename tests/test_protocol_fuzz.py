@@ -15,11 +15,18 @@ from repro.core.parallel.driver import (
     make_partitioner,
     parallel_edge_switch,
 )
-from repro.core.parallel.messages import Abort, Commit, DoneUp
+from repro.core.parallel.messages import (
+    TAG_PROTO,
+    Abort,
+    Commit,
+    DoneAll,
+    DoneUp,
+)
 from repro.core.parallel.rank_program import SwitchRank
 from repro.core.parallel.state import ServantState
 from repro.graphs.generators import erdos_renyi_gnm
 from repro.mpsim.context import RankContext
+from repro.mpsim.ops import Message
 from repro.partition.base import build_partitions
 from repro.util.rng import RngStream
 
@@ -100,67 +107,88 @@ def _standalone_rank(rank: int, size: int, seed: int = 0) -> SwitchRank:
     return SwitchRank(ctx)
 
 
+def _report(sr: SwitchRank) -> list:
+    """Run the serve loop's termination turn: every report the rank's
+    done-gate lets out now, as ``(dest, payload type, step, phase)``
+    (payloads are tuples, so ``==`` alone would not tell them apart)."""
+    ops = []
+    while sr._done_gate():
+        ops.extend(sr._report_done())
+    return [(op.dest, type(op.payload).__name__, *op.payload) for op in ops]
+
+
+def _deliver(sr: SwitchRank, source: int, payload) -> None:
+    for _op in sr._dispatch(Message(source, TAG_PROTO, payload)):
+        pass
+
+
+def _servant_entry(sr: SwitchRank, conv) -> None:
+    e2 = next(iter(sr.part.edges()))
+    sr.part.checkout(e2)
+    sr.servant[conv] = ServantState(conv, checked_out=[e2], reserved=[])
+
+
 class TestTerminationRace:
     """The abort/termination interleaving that used to race.
 
     A failing rank sends Abort to the servants and Retry to the
     initiator on *different* channels.  The initiator may consume the
-    Retry, finish its quota, and be ready to report DoneUp while the
-    Abort is still in flight towards a servant.  If that servant's own
-    quota is already done, it must hold its DoneUp until the Abort
-    lands — otherwise the root can declare DoneAll with cleanup traffic
-    (and leaked checkouts/reservations) still in the air.
+    Retry and finish its quota while the Abort is still in flight
+    towards a servant.  Termination therefore runs in two phases:
+    phase 0 ("every initiator is done") may be reported while servant
+    state is held, because that condition never reverts; phase 1 ("no
+    servant state") waits until the Abort or Commit lands, and the root
+    ends the step only after every phase-1 report — otherwise DoneAll
+    could overtake the cleanup and leak checkouts and reservations past
+    the step.
     """
+
+    def test_phase0_report_goes_out_while_servant_state_held(self):
+        sr = _standalone_rank(rank=1, size=2)
+        assert sr.up == 0 and not sr.children
+        _servant_entry(sr, (0, 0))
+        assert _report(sr) == [(0, "DoneUp", 0, 0)]
+        assert sr.phase == 0 and _report(sr) == []  # once per phase
 
     def test_done_up_held_while_servant_state_pending(self):
         sr = _standalone_rank(rank=1, size=2)
-        assert sr.parent == 0 and not sr.children
-        # quota done, nothing initiated, but one conversation is still
-        # being served: its Commit-or-Abort has not arrived yet.
         conv = (0, 0)
-        e2 = next(iter(sr.part.edges()))
-        sr.part.checkout(e2)
-        sr.servant[conv] = ServantState(conv, checked_out=[e2], reserved=[])
+        _servant_entry(sr, conv)
+        _report(sr)
+        _deliver(sr, 0, DoneAll(0, 0))   # phase 0 ends: every initiator done
+        assert sr.phase == 1
+        assert _report(sr) == []         # the Abort is still in flight
 
-        held = list(sr._propagate_done())
-        assert held == []          # no DoneUp may leave this rank
-        assert not sr.done_up_sent
-
-        # ... the in-flight Abort lands and drains the servant entry ...
-        list(sr.handle_abort(0, Abort(conv)))
+        _deliver(sr, 0, Abort(conv))
         assert not sr.servant
-
-        sent = list(sr._propagate_done())
-        assert sr.done_up_sent
-        assert len(sent) == 1
-        assert isinstance(sent[0].payload, DoneUp)
-        assert sent[0].dest == sr.parent
+        assert _report(sr) == [(0, "DoneUp", 0, 1)]
 
     def test_done_up_held_until_commit_applied(self):
         # Same shape with the success path: the servant entry is
         # resolved by a Commit instead of an Abort.
         sr = _standalone_rank(rank=1, size=2)
         conv = (0, 3)
-        e2 = next(iter(sr.part.edges()))
-        sr.part.checkout(e2)
-        sr.servant[conv] = ServantState(conv, checked_out=[e2], reserved=[])
+        _servant_entry(sr, conv)
+        _report(sr)
+        _deliver(sr, 0, DoneAll(0, 0))
+        assert _report(sr) == []
 
-        assert list(sr._propagate_done()) == []
-        assert not sr.done_up_sent
-
-        ops = list(sr.handle_commit(0, Commit(conv)))
+        _deliver(sr, 0, Commit(conv))
         assert not sr.servant
-        sent = list(sr._propagate_done())
-        assert sr.done_up_sent and len(sent) == 1
-        assert isinstance(sent[0].payload, DoneUp)
+        assert _report(sr) == [(0, "DoneUp", 0, 1)]
 
-    def test_done_up_still_gated_on_acks(self):
-        # The pre-existing gates must survive the fix: an initiator
-        # waiting on CommitAcks may not report done either.
-        sr = _standalone_rank(rank=1, size=2)
-        sr.ack_wait[(1, 0)] = 2
-        assert list(sr._propagate_done()) == []
-        assert not sr.done_up_sent
-        del sr.ack_wait[(1, 0)]
-        sent = list(sr._propagate_done())
-        assert sr.done_up_sent and len(sent) == 1
+    def test_root_ends_step_only_after_every_phase1_report(self):
+        root = _standalone_rank(rank=0, size=3)
+        assert root.up == -1 and root.children == [1, 2]
+        assert _report(root) == []       # no phase-0 report from below yet
+        _deliver(root, 1, DoneUp(0, 0))
+        assert _report(root) == []
+        _deliver(root, 2, DoneUp(0, 0))
+        assert _report(root) == [(1, "DoneAll", 0, 0), (2, "DoneAll", 0, 0)]
+        assert root.phase == 1
+
+        _deliver(root, 2, DoneUp(0, 1))
+        assert _report(root) == []       # rank 1 may still be owed a Commit
+        _deliver(root, 1, DoneUp(0, 1))
+        assert _report(root) == [(1, "DoneAll", 0, 1), (2, "DoneAll", 0, 1)]
+        assert root.phase == 2

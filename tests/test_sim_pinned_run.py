@@ -1,27 +1,31 @@
 """Pinned same-seed outputs of the discrete-event backend.
 
-Makespan, message total, attempt total and the final edge list of four
-fixed-seed runs are pinned to exact values.  The values were captured
-at the commit before sends stopped being grouped into multi-message
-frames (d163575), whose sim runs were already bit-identical with and
-without that grouping.  Any change to the protocol's message sequence,
-the engine's cost arithmetic or the RNG stream discipline fails here
-even when every invariant still holds.
+Makespan, message total, attempt total and the final edge list of five
+fixed-seed runs are pinned to exact values.  Any change to the
+protocol's message sequence, the engine's cost arithmetic or the RNG
+stream discipline fails here even when every invariant still holds.
 
-The crash run crashed rank 2 at op 400 on that commit, where a frame
-of several sends counted as one op and the serve loop probed twice
-before each initiation.  Op 392 is the same protocol point (same
-logical op, same simulated clock) now that every send is its own op.
+Every value was re-captured once, for two changes made together:
 
-The three fault-tolerant runs (``fault_tolerance``, ``message_faults``,
-``crash``) were re-captured when a received DoneAll copy began to count
-as the acknowledgement of the DoneAll copies sent back to its sender.
-Ranks now leave the end-of-step drain as soon as every peer has been
-heard from, instead of waiting out the retransmit window for acks that
-ranks already in the step barrier never send.  That removes the
-retransmitted flood copies and the idle ticks, so message totals,
-makespans and the RNG draws that follow them changed.  ``plain`` runs
-without the reliable channel and is unchanged.
+* step termination became a two-phase wave, and servants stopped
+  acknowledging Commits.  Each switch sends one message fewer per
+  servant, and each step ends with two termination waves instead of
+  one, so message totals, arrival times and the RNG draws that follow
+  them changed;
+* the cost model's constants are rounded to multiples of 2⁻²⁰.  That
+  moves each constant by at most 10⁻⁶ relative, but it can reorder
+  near-simultaneous events.
+
+Against the values before those changes, ``plain`` went from 860.80 to
+877.01 makespan and 3,480 to 2,618 messages, and ``ranks64`` from
+260.52 to 315.49 makespan and 3,926 to 3,119 messages: fewer messages,
+but the second wave adds a climb and a descent of the tree to every
+step's critical path.
+
+The crash run crashes rank 2 at op 392.  Ops are counted per rank, and
+without Commit acknowledgements op 392 falls at another protocol point
+than it did when the index was chosen; the run still loses rank 2
+mid-run and re-budgets its switches.
 
 The final edge list is pinned through the SHA-256 of its sorted
 ``repr``.  Each run performs 600 switches on 1,200 edges in steps of
@@ -30,9 +34,7 @@ dead rank's completed switches.
 
 Every run uses 8 ranks except ``ranks64``, a plain run at 64 ranks.  It
 pins what p=8 does not reach: the 64-cell multinomial, the depth-6
-termination tree and 64-member collectives.  Its values were captured
-at 5a83e46, before the interpreter overhead of the sim switch path was
-cut.
+termination tree and 64-member collectives.
 """
 
 import hashlib
@@ -47,29 +49,29 @@ from repro.util.rng import RngStream
 PINNED = {
     "plain": (
         {}, 2,
-        860.7999999999932, 3480, 701,
-        "e2abbb9f55ef63e51f950286922b2788810d515c3cca8d8714e4602f0c3905ec",
+        877.0070810317993, 2618, 680,
+        "39db15712cc5d221b16186302721eef3de21a230e228f7f16122508573948c52",
     ),
     "fault_tolerance": (
         {"fault_tolerance": True}, 2,
-        1122.371999999991, 7212, 703,
-        "43699597962ed971ddda2aef8c5bea2ce28ed0cfc02423d8e8bf5e69934d1b60",
+        1145.1619806289673, 5648, 693,
+        "80a734e33419ae4ba8252feaac188804b8bbc190b573216c5092d6ab593ec933",
     ),
     "message_faults": (
         {"faults": FaultPlan(seed=3, drop_rate=0.05, duplicate_rate=0.05,
                              delay_rate=0.05)}, 2,
-        9201.997999999981, 7713, 692,
-        "6b4b4287f3b4dea20c04ceea656232cd38a401ac5f9b301a0a7626869dcb8a9b",
+        10575.006169319153, 6321, 684,
+        "d2dce8a4a5e2020699382fd0a6b3450a39fe2119e3af55689dda62c69c812897",
     ),
     "crash": (
         {"faults": FaultPlan(seed=5, crash_rank=2, crash_at_op=392)}, 5,
-        1445.9060000000038, 7385, 756,
-        "621780fc5fa78cc75468e52cddf9039f8cdc2925e3dc3cbab28925bece9010d9",
+        1356.9615468978882, 6259, 755,
+        "b40a9c5dbdbb76a85e9642ff2b0267d7a9eb2becfe8a155065278d6ed79a1e74",
     ),
     "ranks64": (
         {"num_ranks": 64}, 2,
-        260.5200000000005, 3926, 654,
-        "b40c5f747cc31da7d1353ab59ff33494bce45871e175d24472c65a87680b16b4",
+        315.49372386932373, 3119, 649,
+        "b029ef0aef52b996a26c6560c3475bc1edc7418c9094ee053d30cabc68f29f69",
     ),
 }
 
