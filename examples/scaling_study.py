@@ -18,23 +18,30 @@ from repro.util.harmonic import switches_for_visit_rate
 from repro.util.stats import imbalance_factor
 
 
-def main(dataset="miami", scheme="cp"):
+#: Rank counts of the sweep; the imbalance run uses the largest.
+RANKS = (1, 2, 4, 8, 16, 32, 64)
+#: Upper bound on the switch budget ``t`` (visit rate 1 otherwise).
+T_CAP = 15_000
+
+
+def main(dataset="miami", scheme="cp", ranks=RANKS, t_cap=T_CAP):
     if dataset not in DATASETS:
         raise SystemExit(f"unknown dataset {dataset!r}; "
                          f"pick one of {sorted(DATASETS)}")
     graph = load_dataset(dataset)
-    t = min(switches_for_visit_rate(graph.num_edges, 1.0), 15_000)
+    t = min(switches_for_visit_rate(graph.num_edges, 1.0), t_cap)
     print(f"{dataset}: n={graph.num_vertices}, m={graph.num_edges}, "
           f"t={t}, scheme={scheme}")
 
-    points = strong_scaling(graph, [1, 2, 4, 8, 16, 32, 64],
+    points = strong_scaling(graph, list(ranks),
                             scheme=scheme, t=t, step_fraction=0.1, seed=0)
     print_series(f"strong scaling — {dataset} / {scheme}", points)
 
     # workload balance at the largest machine
-    res = parallel_edge_switch(graph, 64, t=t, step_fraction=0.1,
+    p = max(ranks)
+    res = parallel_edge_switch(graph, p, t=t, step_fraction=0.1,
                                scheme=scheme, seed=0)
-    print(f"\nworkload imbalance at p=64 (max/mean): "
+    print(f"\nworkload imbalance at p={p} (max/mean): "
           f"{imbalance_factor(res.workload_per_rank):.2f}")
     print(f"final edge imbalance: "
           f"{imbalance_factor(res.final_edges_per_rank):.2f}")

@@ -135,21 +135,27 @@ class DoneAll(NamedTuple):
 class Frame(NamedTuple):
     """Fault-tolerance envelope around a protocol message.
 
-    ``seq`` is the sender's per-destination frame serial; the receiver
-    acknowledges it with :class:`FrameAck` and uses ``(source, seq)``
-    for duplicate suppression.  Only used when fault tolerance is
-    enabled — the fault-free hot path sends payloads bare.
+    ``seq`` is the sender's per-destination frame serial, from 0
+    without gaps; the receiver uses ``(source, seq)`` for duplicate
+    suppression.  ``ack`` is a cumulative acknowledgement riding along:
+    every frame the destination sent the sender with a seq below
+    ``ack`` has arrived.  Only used when fault tolerance is enabled —
+    the fault-free hot path sends payloads bare.
     """
 
     seq: int
+    ack: int
     payload: object
 
 
 class FrameAck(NamedTuple):
-    """Receiver → sender: frame ``seq`` arrived (not itself framed or
-    acknowledged, so acks cannot recurse)."""
+    """Receiver → sender, when no frame carries the ack: every frame
+    with a seq below ``upto`` arrived.  With ``nack`` set, frame
+    ``upto`` is missing while later ones arrived: resend it now.  Not
+    itself framed or acknowledged, so acks cannot recurse."""
 
-    seq: int
+    upto: int
+    nack: bool = False
 
 
 #: Approximate on-wire sizes per message type, for the cost model.

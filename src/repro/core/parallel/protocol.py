@@ -75,8 +75,8 @@ class ConversationMixin:
     :class:`~repro.core.parallel.rank_program.SwitchRank`, which
     provides ``self.ctx``, ``self.part`` (the rank's partition),
     ``self.owner`` (the global ownership function), ``self.cost``,
-    ``self.report``, ``self.tracker``, ``self.q`` (partner
-    probabilities) and ``self.quota``.
+    ``self.report``, ``self.tracker``, ``self.q_pick`` (partner
+    probabilities, prepared for bisection) and ``self.quota``.
     """
 
     # Charge ops built once per rank from ``self.cost`` (same float
@@ -198,7 +198,7 @@ class ConversationMixin:
             # a scalar draw (its weights change every step).
             e1 = self.part.edge_at(self.sampler.index(self.part.pool_size))
             self.part.checkout(e1)
-            partner = self.ctx.rng.choice_weighted(self.q)
+            partner = self.ctx.rng.choice_cumulative(self.q_pick)
             if partner != me:
                 if partner in self.dead:
                     # All-zero weights fallback can still surface a dead

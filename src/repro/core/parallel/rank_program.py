@@ -70,7 +70,7 @@ from repro.core.parallel.protocol import (
     RECV_PROTO,
 )
 from repro.core.parallel.state import InitiatorState, RankReport, ServantState
-from repro.util.rng import BlockSampler
+from repro.util.rng import BlockSampler, CumulativeWeights
 from repro.core.visit_rate import VisitTracker
 from repro.errors import ProtocolError
 from repro.mpsim.context import RankContext
@@ -87,6 +87,7 @@ _DEFAULT_TICK = 0.05
 #: Fault tolerance probes wildcard: obituaries travel under their own
 #: (negative) tag.
 _PROBE_ANY = Probe()
+_RECV_ANY = Recv()
 
 
 class SwitchRank(ConversationMixin):
@@ -156,6 +157,7 @@ class SwitchRank(ConversationMixin):
         self.consecutive_failures = 0
         # step state
         self.q: List[float] = []
+        self.q_pick = CumulativeWeights(self.q)
         self.quota = 0
         self.step_forfeited = 0
         self.step_index = 0
@@ -200,7 +202,7 @@ class SwitchRank(ConversationMixin):
                 if c is None and r not in self.dead:
                     yield from self._on_rank_dead(r)
         counts = [c if c is not None else 0 for c in counts]
-        self.q = _normalise(counts)
+        self._set_q(_normalise(counts))
         if self.audit is not None:
             self.audit.begin_run(sum(counts))
 
@@ -226,7 +228,7 @@ class SwitchRank(ConversationMixin):
             if self.audit is not None:
                 self.audit.end_step(self.step_index, self, sum(counts))
             self.report.edge_trajectory.append(self.part.num_edges)
-            self.q = _normalise(counts)
+            self._set_q(_normalise(counts))
             self.step_index += 1
             self.report.steps = self.step_index
             sink = self.checkpoint_sink
@@ -258,6 +260,10 @@ class SwitchRank(ConversationMixin):
         if self.audit is not None:
             self.report.audit_events = list(self.audit.recorder.tail())
         return self.report
+
+    def _set_q(self, q: List[float]) -> None:
+        self.q = q
+        self.q_pick = CumulativeWeights(q)
 
     # -- one step ------------------------------------------------------------
 
@@ -322,22 +328,22 @@ class SwitchRank(ConversationMixin):
             return
         ch = self.channel
         if ch is not None:
-            if msg.source in self.dead:
+            source = msg.source
+            if source in self.dead:
                 return  # late traffic from a dead rank
             kind = type(payload)
             if kind is FrameAck:
-                ch.on_ack(msg.source, payload)
+                frame = ch.on_ack(source, payload.upto, payload.nack)
+                if frame is not None:
+                    yield self._resend(source, frame)
                 return
             if kind is Frame:
-                # Ack every copy — the sender may have missed earlier
-                # acks — then dedup before dispatching.
-                yield Send(msg.source, TAG_PROTO, FrameAck(payload.seq),
-                           NBYTES[FrameAck])
-                payload = ch.accept(msg.source, payload)
+                payload, reply = ch.accept(source, payload)
+                if reply is not None:
+                    yield Send(source, TAG_PROTO, reply, NBYTES[FrameAck])
                 if payload is None:
                     if self.audit is not None:
-                        self.audit.record(
-                            "dup_drop", note=f"from={msg.source}")
+                        self.audit.record("dup_drop", note=f"from={source}")
                     return
         kind = type(payload)
         if kind is DoneUp:
@@ -404,6 +410,10 @@ class SwitchRank(ConversationMixin):
         """Send this phase's DoneUp, or at the root end the phase."""
         phase = self.phase
         aud = self.audit
+        if phase and self.up_to is None and self.channel is not None:
+            # This step's first phase-1 report: the wave proves what
+            # was sent before it (see _ft_finish_step).
+            self.channel.mark()
         if self.up >= 0:
             if aud is not None:
                 aud.record("done_up", note=f"phase={phase} to={self.up}")
@@ -437,14 +447,18 @@ class SwitchRank(ConversationMixin):
     # -- fault tolerance -------------------------------------------------
 
     def _ft_tick(self):
-        """The timed receive expired: retransmit whatever is due."""
-        for dest, frame in self.channel.on_tick():
-            if dest in self.dead:
-                continue
-            if self.audit is not None:
-                self.audit.record(
-                    "retransmit", note=f"to={dest} seq={frame.seq}")
-            yield Send(dest, TAG_PROTO, frame, wire_nbytes(frame))
+        """The timed receive expired: send the channel's due
+        retransmissions and owed acks."""
+        for dest, payload in self.channel.on_tick():
+            if type(payload) is Frame:
+                yield self._resend(dest, payload)
+            else:
+                yield Send(dest, TAG_PROTO, payload, NBYTES[FrameAck])
+
+    def _resend(self, dest: int, frame: Frame) -> Send:
+        if self.audit is not None:
+            self.audit.record("retransmit", note=f"to={dest} seq={frame.seq}")
+        return Send(dest, TAG_PROTO, frame, wire_nbytes(frame))
 
     def _on_rank_dead(self, d: int):
         """A peer fail-stopped: forfeit everything shared with it."""
@@ -459,6 +473,7 @@ class SwitchRank(ConversationMixin):
             self._flat_topology()
         if d < len(self.q):
             self.q[d] = 0.0  # never pick the dead as a partner again
+            self._set_q(self.q)
         # My own in-flight conversation involved the dead rank: forfeit
         # it (the operation is retried with a fresh pair).
         st = self.active
@@ -499,60 +514,63 @@ class SwitchRank(ConversationMixin):
             self.waiting_for = frozenset()
 
     def _ft_finish_step(self):
-        """Drain the channel before the step barrier: keep serving acks
-        and late frames until nothing this rank sent is outstanding.
+        """Serve the channel after the step's final DoneAll until what
+        the two-phase wave does not already prove has landed.
 
-        A final DoneAll copy received from rank ``r`` this step
-        acknowledges every DoneAll copy sent to ``r``: ``r`` already
-        knows the step is over, and it may have entered the barrier,
-        where it acks nothing.  So the drain ends once the only unacked
-        frames are DoneAll copies to ranks in ``done_heard`` — and no
-        servant entry is left: after a rank's death a forfeited chain
-        can still open a servant entry whose Abort DoneAll overtook.
-        Bounded: once the window closes, whatever is still unacked is
-        dropped — the termination wave proves its payload already
-        arrived (only acks can be missing at this point), or it is a
-        DoneAll flood copy covered by the other flooders (see
-        docs/protocol.md)."""
+        The wave proves delivery of every frame sent before this rank's
+        phase-1 report (:meth:`ReliableChannel.mark`) and of every
+        DoneUp, so the drain waits only for (a) servant state, which
+        after a rank's death a forfeited chain can still open, its
+        Abort arriving after DoneAll; (b) other frames sent after the
+        report, such as that Abort at its sender; but not (c) DoneAll
+        copies to a rank ``r`` in ``done_heard``: a final DoneAll copy
+        from ``r`` shows ``r`` knows the step is over, which is all the
+        copy says.  ``r`` may already be in the barrier, where it acks
+        nothing.  Every DoneAll copy is acked on its own, apart from
+        the ack riding on this rank's flood copy, and every frame that
+        arrives here at once, since its sender may be waiting for it in
+        its own drain.  Bounded: once the window closes, the rest is
+        left to :meth:`ReliableChannel.settle` (docs/protocol.md)."""
         ch = self.channel
         cfg = self.ftcfg
         heard = self.done_heard
         limit = ch.ticks + cfg.retransmit_after * (cfg.max_retries + 2)
-        while ch.ticks < limit and (self.servant or any(
-                p.dest not in heard or type(p.frame.payload) is not DoneAll
-                for p in ch.pending.values())):
+        for r in heard - self.dead:
+            yield Send(r, TAG_PROTO, ch.ack_now(r), NBYTES[FrameAck])
+        while self.servant or any(
+                kind is not DoneUp and (kind is not DoneAll or d not in heard)
+                for d, kind in ch.since_mark()):
+            if ch.ticks >= limit:
+                if self.audit is not None:
+                    self.audit.record("drain", note="window closed")
+                break
             msg = yield self.ft_recv
             if msg is None:
                 yield from self._ft_tick()
                 continue
-            if msg.tag == TAG_OBITUARY:
-                yield from self._on_rank_dead(msg.payload.rank)
+            source = msg.source
+            if type(msg.payload) is not Frame or source in self.dead:
+                # Obituaries, acks and late traffic from the dead.
+                yield from self._dispatch(msg)
                 continue
-            if msg.source in self.dead:
-                continue
-            payload = msg.payload
-            if type(payload) is FrameAck:
-                ch.on_ack(msg.source, payload)
-                continue
-            if type(payload) is Frame:
-                yield Send(msg.source, TAG_PROTO, FrameAck(payload.seq),
-                           NBYTES[FrameAck])
-                inner = ch.accept(msg.source, payload)
-                kind = type(inner)
-                if (kind is DoneAll and inner.step == self.step_index
-                        and inner.phase):
-                    heard.add(msg.source)
-                elif kind is Abort:
-                    # We served a forfeited chain after our DoneUp and
-                    # its Abort lost the race with DoneAll; the servant
-                    # entry waits for it here.
-                    yield from self.handle_abort(msg.source, inner)
-                # Anything else new can only be termination noise —
-                # every other payload was delivered before DoneAll
-                # existed (the termination wave) — so it is consumed.
-        dropped = ch.clear_pending()
-        if dropped and self.audit is not None:
-            self.audit.record("drain", note=f"unacked_cleared={dropped}")
+            inner, reply = ch.accept(source, msg.payload)
+            kind = type(inner)
+            if (kind is DoneAll and inner.step == self.step_index
+                    and inner.phase):
+                heard.add(source)
+            elif kind is Abort:
+                # We served a forfeited chain after our DoneUp and its
+                # Abort lost the race with DoneAll; the servant entry
+                # waits for it here.
+                yield from self.handle_abort(source, inner)
+            # Anything else new can only be termination noise — every
+            # other payload was delivered before DoneAll existed (the
+            # termination wave) — so it is consumed.
+            if inner is not None:
+                reply = ch.ack_now(source)
+            if reply is not None:
+                yield Send(source, TAG_PROTO, reply, NBYTES[FrameAck])
+        ch.settle()
 
     def _ft_step_barrier(self, remaining: int, step_quota: int):
         """The fault-tolerant step allgather and budget accounting.
@@ -604,13 +622,28 @@ class SwitchRank(ConversationMixin):
             ch.ticks, ch.retransmits, ch.dup_drops, ch.abandoned)
 
     def _drain_mailbox(self):
-        """Consume leftover retransmissions after the final barrier so
-        no message counts as undelivered at shutdown."""
+        """Consume what is left in the mailbox after the final step
+        barrier, so no message counts as undelivered at shutdown.
+
+        No rank sends after joining that barrier, so once one more
+        barrier has completed, every message sent in the run has
+        arrived and a probe finds it, on every backend:
+
+        * threads: a send appends to the destination's mailbox under
+          the shared lock before the sender's op returns;
+        * procs: a send is written into the pair's pipe before the
+          sender writes its barrier join to the router, and ``probe``
+          reads every ready pipe until none is left;
+        * sim: a frame arrives ``α + β·bytes`` after it is sent, less
+          than the ``α`` rounds of the step allgather and this barrier
+          together for any frame under ``α/β`` (800) bytes; the
+          largest is 112.
+
+        So the drain needs no timed receive."""
+        yield from self.ctx.barrier()
         drained = 0
-        while True:
-            msg = yield self.ft_recv
-            if msg is None:
-                break
+        while (yield _PROBE_ANY):
+            yield _RECV_ANY
             drained += 1
         if drained and self.audit is not None:
             self.audit.record("drain", note=f"n={drained}")
@@ -659,8 +692,10 @@ class SwitchRank(ConversationMixin):
         self.report = rep = state["report"]
         ch = self.channel
         if ch is not None:
-            # Counters carry on from the snapshot; the channel holds no
-            # frames at a step boundary, so its tick clock may jump.
+            # Counters carry on from the snapshot.  Frames still unacked
+            # at a step boundary are proven delivered or not needed
+            # (every rank restarts its seqs together), so the channel
+            # starts empty and its tick clock may jump.
             ch.ticks, ch.retransmits, ch.dup_drops, ch.abandoned = (
                 rep.ft_ticks, rep.retransmits, rep.dup_drops, rep.abandoned)
         self.step_index = state["step_index"]

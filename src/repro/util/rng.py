@@ -13,11 +13,40 @@ re-creating numpy scalars where a Python int suffices.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["BlockSampler", "RngStream", "spawn_streams"]
+__all__ = ["BlockSampler", "CumulativeWeights", "RngStream", "spawn_streams"]
+
+
+class CumulativeWeights:
+    """A weight vector prepared once for many
+    :meth:`RngStream.choice_cumulative` draws: its running sums, its
+    total and the index the zero-weight tail guard returns."""
+
+    __slots__ = ("cum", "total", "fallback")
+
+    def __init__(self, weights: Sequence[float]):
+        # The total is sum()'s, not the last running sum: from Python
+        # 3.12 sum() adds floats with compensation and can differ from
+        # the running sum in the last bit.
+        self.total = float(sum(weights))
+        acc = 0.0
+        cum: List[float] = []
+        for w in weights:
+            acc += w
+            cum.append(acc)
+        self.cum = cum
+        # Numerical guard for u ~ total.  Must be a *selectable* index:
+        # a zero-weight tail (an empty partition, |E_j| = 0) would
+        # otherwise be handed out as a switch partner, whose empty pool
+        # guarantees a Retry storm.  All-zero weights have no valid
+        # choice and fall back to the last index.
+        self.fallback = next(
+            (i for i in range(len(weights) - 1, -1, -1) if weights[i] > 0.0),
+            len(weights) - 1)
 
 
 class RngStream:
@@ -75,26 +104,21 @@ class RngStream:
         return bool(self._gen.integers(2))
 
     def choice_weighted(self, weights: Sequence[float]) -> int:
-        """Index drawn with probability proportional to ``weights``.
+        """Index drawn with probability proportional to ``weights``."""
+        return self.choice_cumulative(CumulativeWeights(weights))
+
+    def choice_cumulative(self, weights: CumulativeWeights) -> int:
+        """Index drawn with probability proportional to the prepared
+        ``weights``: the first whose running sum exceeds one uniform
+        scaled by the total, found by bisection.
 
         Used to pick the partner rank for a switch with probability
-        ``|E_j| / |E|`` (Algorithm 2, line 2).
+        ``|E_j| / |E|`` (Algorithm 2, line 2); the weights change once
+        per step, the draw happens on every initiation.
         """
-        total = float(sum(weights))
-        u = self.uniform() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        # Numerical guard for u ~ total.  Must return a *selectable*
-        # index: a zero-weight tail (an empty partition, |E_j| = 0)
-        # would otherwise be handed out as a switch partner, whose
-        # empty pool guarantees a Retry storm.
-        for i in range(len(weights) - 1, -1, -1):
-            if weights[i] > 0.0:
-                return i
-        return len(weights) - 1  # all-zero weights: no valid choice exists
+        cum = weights.cum
+        i = bisect_right(cum, self.uniform() * weights.total)
+        return i if i < len(cum) else weights.fallback
 
     # -- vector draws --------------------------------------------------
 

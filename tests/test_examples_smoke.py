@@ -32,14 +32,22 @@ def test_fast_examples_run_clean(script):
     assert proc.stdout.strip(), "example produced no output"
 
 
-def test_scaling_study_importable_and_parameterised():
+def test_scaling_study_importable_and_parameterised(capsys):
     sys.path.insert(0, str(EXAMPLES))
     try:
         import scaling_study
-        # tiny run through the same code path
-        scaling_study.main("erdos_renyi", "hp-d")
+        # The same code path as the full sweep (strong_scaling,
+        # print_series, the imbalance run at the largest p), at a
+        # smaller size.
+        scaling_study.main("erdos_renyi", "hp-d", ranks=(1, 2, 8),
+                           t_cap=800)
     finally:
         sys.path.remove(str(EXAMPLES))
+    out = capsys.readouterr().out
+    assert "t=800, scheme=hp-d" in out
+    assert "strong scaling — erdos_renyi / hp-d" in out
+    assert "workload imbalance at p=8 (max/mean): " in out
+    assert "final edge imbalance: " in out
 
 
 def test_all_examples_have_docstrings_and_main():

@@ -1,9 +1,14 @@
 """Tests for repro.util.rng — reproducible splittable streams."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
-from repro.util.rng import BlockSampler, RngStream, spawn_streams
+from repro.util.rng import (
+    BlockSampler, CumulativeWeights, RngStream, spawn_streams,
+)
 
 
 class TestReproducibility:
@@ -88,6 +93,62 @@ class TestDraws:
         for _ in range(3000):
             counts[rng.choice_weighted([10, 10, 20])] += 1
         assert counts[2] / 3000 == pytest.approx(0.5, abs=0.05)
+
+    def test_bisection_picks_the_scan_index(self):
+        """The bisection over prepared running sums returns the index
+        the linear scan returned, for the same uniform: over weight
+        vectors with zero entries, zero tails and all-zero, and over
+        uniforms at each running sum, one float either side of it, and
+        next to the total."""
+
+        def scan(weights, u01):
+            # The linear scan the bisection replaced, verbatim.
+            total = float(sum(weights))
+            u = u01 * total
+            acc = 0.0
+            for i, w in enumerate(weights):
+                acc += w
+                if u < acc:
+                    return i
+            for i in range(len(weights) - 1, -1, -1):
+                if weights[i] > 0.0:
+                    return i
+            return len(weights) - 1
+
+        class Fixed(RngStream):
+            u = 0.0
+
+            def uniform(self):
+                return self.u
+
+        gen = random.Random(3)
+        vectors = [[1.0], [0.0], [0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                   [0.5, 0.5, 0.0, 0.0], [0.0, 3.0, 0.0, 1.0, 0.0],
+                   [10, 10, 20], [0.1] * 10]
+        for n in (2, 3, 8, 64):
+            for _ in range(20):
+                vectors.append([gen.choice((0.0, gen.random(), 1 / n))
+                                for _ in range(n)])
+        rng = Fixed(0)
+        checked = 0
+        for weights in vectors:
+            prepared = CumulativeWeights(weights)
+            total = float(sum(weights))
+            us = {0.0, 0.5, math.nextafter(1.0, 0.0)}
+            for acc in prepared.cum:
+                if total > 0:
+                    r = acc / total
+                    us.update((r, math.nextafter(r, 0.0),
+                               math.nextafter(r, 2.0)))
+            for u in us:
+                if not 0.0 <= u < 1.0:
+                    continue
+                rng.u = u
+                assert rng.choice_cumulative(prepared) == scan(weights, u), (
+                    weights, u)
+                assert rng.choice_weighted(weights) == scan(weights, u)
+                checked += 1
+        assert checked > 1000
 
     def test_permutation(self):
         rng = RngStream(5)
