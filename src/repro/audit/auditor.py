@@ -84,17 +84,6 @@ class AuditScope:
         return tuple(merged)
 
 
-class _ConvLedger:
-    """What the auditor believes one open conversation holds here."""
-
-    __slots__ = ("role", "checked_out", "reserved")
-
-    def __init__(self, role: str, checked_out: int, reserved: int):
-        self.role = role
-        self.checked_out = checked_out
-        self.reserved = reserved
-
-
 class ProtocolAuditor:
     """Per-rank online invariant checker; see the module docstring."""
 
@@ -109,7 +98,8 @@ class ProtocolAuditor:
         self.rank = rank
         self.recorder = FlightRecorder(rank, config.ring)
         self.trail = config.trail
-        self.open_convs: Dict[Conv, _ConvLedger] = {}
+        #: Ledger of the conversations open here: conv -> role.
+        self.open_convs: Dict[Conv, str] = {}
         #: This step's phase-1 report was made (see :meth:`seal`).
         self.sealed = False
         self.initial_global_edges: Optional[int] = None
@@ -143,26 +133,18 @@ class ProtocolAuditor:
 
     # -- conversation ledger -------------------------------------------
 
-    def conv_open(self, conv: Conv, role: str, checked_out: int,
-                  reserved: int) -> None:
+    def conv_open(self, conv: Conv, role: str) -> None:
         if conv in self.open_convs:
             self.fail(f"conversation opened twice (role {role})", conv)
-        self.open_convs[conv] = _ConvLedger(role, checked_out, reserved)
-
-    def conv_reserve(self, conv: Conv, count: int) -> None:
-        ledger = self.open_convs.get(conv)
-        if ledger is None:
-            self.fail("reservation for a conversation never opened", conv)
-        ledger.reserved += count
-        self.record("reserve", conv, f"n={count}")
+        self.open_convs[conv] = role
 
     def conv_close(self, conv: Conv, how: str) -> None:
-        ledger = self.open_convs.pop(conv, None)
-        if ledger is None:
+        role = self.open_convs.pop(conv, None)
+        if role is None:
             self.fail(f"{how} for a conversation not open here", conv)
         kind = how if how in ("commit", "abort", "retry", "forfeit") \
             else "commit"
-        self.record(kind, conv, f"close role={ledger.role}")
+        self.record(kind, conv, f"close role={role}")
 
     def seal(self) -> None:
         """This rank reported termination phase 1 (fault-free runs):

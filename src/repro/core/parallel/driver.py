@@ -7,7 +7,6 @@ plus the statistics every experiment consumes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import List, Optional, Union
@@ -19,7 +18,6 @@ from repro.core.parallel.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
 )
-from repro.core.parallel.ftolerance import FTConfig
 from repro.core.parallel.rank_program import switch_rank_program
 from repro.core.parallel.state import RankReport
 from repro.errors import CheckpointError
@@ -81,9 +79,12 @@ class ParallelSwitchConfig:
     #: pays one identity check per protocol hook.
     audit: Optional[AuditConfig] = None
     #: Protocol-level fault tolerance (framing, ack/retransmit, dedup,
-    #: death handling); ``None`` (the default) disables it — protocol
-    #: payloads then travel bare, exactly as without this feature.
-    fault_tolerance: Optional[FTConfig] = None
+    #: death handling), given as its serve-loop tick: the timed
+    #: receive's timeout in backend-local units (simulated cost units
+    #: on the discrete-event backend, seconds on threads and procs).
+    #: ``None`` (the default) disables it — protocol payloads then
+    #: travel bare, exactly as without this feature.
+    fault_tolerance: Optional[float] = None
 
     def __post_init__(self):
         if self.t < 0:
@@ -244,7 +245,7 @@ def parallel_edge_switch(
     backend: str = "sim",
     audit: Union[bool, AuditConfig, None] = False,
     faults: Optional[FaultPlan] = None,
-    fault_tolerance: Union[bool, FTConfig, None] = None,
+    fault_tolerance: Optional[bool] = None,
     checkpoint: Union[str, CheckpointConfig, None] = None,
     resume: Optional[str] = None,
     halt_after_step: Optional[int] = None,
@@ -271,9 +272,11 @@ def parallel_edge_switch(
     :class:`~repro.mpsim.faults.FaultPlan` (drops, duplicates, delays,
     a crash) into the chosen backend; passing one implicitly enables
     protocol-level fault tolerance unless ``fault_tolerance`` is given
-    explicitly.  ``fault_tolerance=True`` (or an
-    :class:`~repro.core.parallel.ftolerance.FTConfig`) frames every
-    protocol message for ack/retransmit/dedup and handles rank deaths.
+    explicitly.  ``fault_tolerance=True`` frames every protocol message
+    for ack/retransmit/dedup and handles rank deaths; its serve-loop
+    tick is 50 cost units on ``"sim"`` and 50 ms on the real backends.
+    The retransmit timing is fixed
+    (:mod:`~repro.core.parallel.ftolerance`'s module constants).
 
     ``checkpoint`` (a directory path or
     :class:`~repro.core.parallel.checkpoint.CheckpointConfig`) writes
@@ -306,32 +309,24 @@ def parallel_edge_switch(
             f"unknown backend {backend!r}; expected 'sim', 'threads' "
             "or 'procs'")
 
-    if fault_tolerance is True:
-        ft_cfg: Optional[FTConfig] = FTConfig()
-    elif fault_tolerance is False:
-        ft_cfg = None
-    elif fault_tolerance is None:
+    if fault_tolerance is None:
         # Injecting faults without the recovery layer deadlocks by
         # design; enable it implicitly unless explicitly declined.
-        ft_cfg = FTConfig() if faults is not None else None
-    elif isinstance(fault_tolerance, FTConfig):
-        ft_cfg = fault_tolerance
-    else:
+        fault_tolerance = faults is not None
+    elif fault_tolerance is not True and fault_tolerance is not False:
         raise ConfigurationError(
-            f"fault_tolerance must be a bool or FTConfig, "
+            f"fault_tolerance must be a bool or None, "
             f"got {fault_tolerance!r}")
-    if ft_cfg is not None and ft_cfg.tick is None:
-        # The serve-loop tick is backend-local: simulated cost units
-        # under the discrete-event engine, seconds on real backends.
-        ft_cfg = dataclasses.replace(
-            ft_cfg, tick=50.0 if backend == "sim" else 0.05)
+    # The serve-loop tick is backend-local: simulated cost units under
+    # the discrete-event engine, seconds on real backends.
+    tick = (50.0 if backend == "sim" else 0.05) if fault_tolerance else None
 
     config = ParallelSwitchConfig(
         t=t, step_size=step_size, cost=cost,
         # workers have their own memory: results must travel in reports
         collect_edges=(backend == "procs"),
         audit=audit_cfg,
-        fault_tolerance=ft_cfg,
+        fault_tolerance=tick,
     )
 
     sink: Optional[CheckpointSink] = None

@@ -32,10 +32,8 @@ handlers and the transport, one :class:`_Link` per peer:
   the set of seqs delivered ahead of it, making every handler
   effectively exactly-once.  A gap is always filled — its seq is
   NACKed and the sender keeps every frame until it is acked — so that
-  set is bounded by the reordering window, not by the run length.
-  ``dedup=False`` disables the suppression — the mutation-test knob:
-  the auditor must then catch the resulting double-applies;
-* **bounded delivery** — after ``max_retries`` retransmissions the
+  set is bounded by the reordering window, not by the run length;
+* **bounded delivery** — after ``MAX_RETRIES`` retransmissions the
   oldest frame to a peer is abandoned.  Until then the step's
   two-phase termination wave holds the step open for every
   conversation payload: a lost SwitchRequest, Validate or Retry keeps
@@ -58,46 +56,20 @@ backends.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.parallel.messages import Frame, FrameAck
 from repro.util.rng import RngStream
 
-__all__ = ["FTConfig", "ReliableChannel"]
+__all__ = ["BACKOFF", "MAX_RETRIES", "RETRANSMIT_AFTER", "ReliableChannel"]
 
-
-@dataclass(frozen=True)
-class FTConfig:
-    """Fault-tolerance parameters (carried in
-    :class:`~repro.core.parallel.driver.ParallelSwitchConfig`).
-
-    ``tick`` is the serve loop's receive timeout in backend-local units
-    (simulated cost units on the discrete-event backend, seconds on
-    threads/procs); ``None`` lets the driver pick a backend default.
-    """
-
-    #: Serve-loop receive timeout (one "tick"); backend-local units.
-    tick: Optional[float] = None
-    #: Retransmit the oldest unacked frame after this many ticks.
-    retransmit_after: int = 3
-    #: Backoff multiplier applied to the wait after each retransmit.
-    backoff: float = 2.0
-    #: Give up on a frame after this many retransmissions.
-    max_retries: int = 8
-    #: Seed of the per-rank retransmit-jitter stream.
-    seed: int = 0
-    #: Duplicate suppression on receive.  Disabling it is deliberately
-    #: breaking the protocol — the mutation-test knob for the auditor.
-    dedup: bool = True
-
-    def __post_init__(self):
-        if self.retransmit_after < 1:
-            raise ValueError("retransmit_after must be >= 1")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+#: Retransmit the oldest unacked frame after this many ticks (timed
+#: serve-loop receives that expired idle).
+RETRANSMIT_AFTER = 3
+#: Backoff multiplier applied to the wait after each retransmit.
+BACKOFF = 2.0
+#: Give up on a frame after this many retransmissions.
+MAX_RETRIES = 8
 
 
 class _Link:
@@ -140,18 +112,17 @@ class ReliableChannel:
     owner sends it.
     """
 
-    __slots__ = ("cfg", "rank", "links", "ticks", "retransmits",
+    __slots__ = ("rank", "links", "ticks", "retransmits",
                  "dup_drops", "abandoned", "_jitter")
 
-    def __init__(self, rank: int, cfg: FTConfig):
-        self.cfg = cfg
+    def __init__(self, rank: int):
         self.rank = rank
         self.links: Dict[int, _Link] = {}
         self.ticks = 0
         self.retransmits = 0
         self.dup_drops = 0
         self.abandoned = 0
-        self._jitter = RngStream((cfg.seed, rank))
+        self._jitter = RngStream((0, rank))
 
     def link(self, peer: int) -> _Link:
         link = self.links.get(peer)
@@ -162,8 +133,7 @@ class ReliableChannel:
     def _arm(self, link: _Link) -> None:
         # Seeded jitter spreads the first retransmit over one extra
         # tick so simultaneous losses do not retransmit in lockstep.
-        link.due = (self.ticks + self.cfg.retransmit_after
-                    + self._jitter.randint(2))
+        link.due = self.ticks + RETRANSMIT_AFTER + self._jitter.randint(2)
 
     # -- sending -------------------------------------------------------
 
@@ -239,11 +209,8 @@ class ReliableChannel:
             # Still ahead: the next gap, asked for at once.
             return payload, self._ack(link) if ahead else None
         if seq < low or seq in ahead:
-            reply = self._ack(link)
-            if not self.cfg.dedup:
-                return payload, reply
             self.dup_drops += 1
-            return None, reply
+            return None, self._ack(link)
         ahead.add(seq)
         if link.nacked != low:
             return payload, self._ack(link)
@@ -269,15 +236,14 @@ class ReliableChannel:
         """Advance the tick clock; returns the ``(dest, payload)`` pairs
         to send: per peer, the oldest unacked frame when its timer is
         due, and a bare ack (a NACK while a gap is open) when one is
-        owed that no frame carries.  A frame past ``max_retries`` is
+        owed that no frame carries.  A frame past ``MAX_RETRIES`` is
         abandoned instead, and the next one gets its own retries."""
         self.ticks = ticks = self.ticks + 1
-        cfg = self.cfg
         out: List[Tuple[int, object]] = []
         for dest, link in self.links.items():
             due = link.due
             if due is not None and due <= ticks:
-                if link.retries >= cfg.max_retries:
+                if link.retries >= MAX_RETRIES:
                     link.unacked.popleft()
                     self.abandoned += 1
                     link.retries = 0
@@ -287,7 +253,7 @@ class ReliableChannel:
                         link.due = None
                 else:
                     link.retries += 1
-                    wait = cfg.retransmit_after * cfg.backoff ** link.retries
+                    wait = RETRANSMIT_AFTER * BACKOFF ** link.retries
                     link.due = ticks + int(wait) + self._jitter.randint(2)
                     out.append((dest, self._resend(link)))
             if link.ahead or link.low > link.told:

@@ -104,9 +104,6 @@ class ConversationMixin:
     channel: Optional[ReliableChannel]
     #: Ranks known to have failed (always a set; empty without faults).
     dead: Set[int]
-    #: Conversations this rank forfeited on a peer's death — late
-    #: chain traffic for them is answered with aborts, not errors.
-    forfeited_convs: Set[Conv]
 
     # -- helpers -----------------------------------------------------------
 
@@ -178,7 +175,6 @@ class ConversationMixin:
                 if aud is not None:
                     aud.record("forfeit", note=f"n={self.quota} empty_pool")
                 self.report.forfeited += self.quota
-                self.step_forfeited += self.quota
                 self.quota = 0
                 return
             if self.consecutive_failures > self.failure_limit:
@@ -188,7 +184,6 @@ class ConversationMixin:
                 if aud is not None:
                     aud.record("forfeit", note="n=1 livelock_guard")
                 self.report.forfeited += 1
-                self.step_forfeited += 1
                 self.quota -= 1
                 self.consecutive_failures = 0
                 continue
@@ -211,50 +206,24 @@ class ConversationMixin:
                 self.active = InitiatorState(conv, e1, checked_out=[e1],
                                              partner=partner, peers=(partner,))
                 if aud is not None:
-                    aud.conv_open(conv, "initiator", checked_out=1, reserved=0)
+                    aud.conv_open(conv, "initiator")
                     aud.record("initiate", conv, f"partner={partner}")
                 yield self._proto(partner, SwitchRequest(conv, e1))
                 return
             # -- local partner: run the partner phase inline ------------
-            if self.part.pool_size == 0:
+            reason, e2, kind, groups, mine = self._partner_phase(e1)
+            if mine is not None:
+                yield check_ops[len(mine)]
+            if reason is not None:
                 self.part.release(e1)
-                self.report.bump_rejection(FailureReason.EMPTY_POOL)
-                self.consecutive_failures += 1
-                continue
-            e2 = self.part.edge_at(self.sampler.index(self.part.pool_size))
-            self.part.checkout(e2)
-            kind = SwitchKind.CROSS if self.sampler.coin() \
-                else SwitchKind.STRAIGHT
-            proposal, reason = propose_switch(e1, e2, kind)
-            if proposal is None:
-                self.part.release(e1)
-                self.part.release(e2)
+                if e2 is not None:
+                    self.part.release(e2)
                 self.report.bump_rejection(reason)
-                self.consecutive_failures += 1
-                continue
-            groups = self._group_by_owner(proposal.add)
-            mine = groups.pop(me, [])
-            yield check_ops[len(mine)]
-            if self._conflicts(mine):
-                self.part.release(e1)
-                self.part.release(e2)
-                self.report.bump_rejection(FailureReason.PARALLEL)
-                self.consecutive_failures += 1
-                continue
-            if self.dead and any(r in self.dead for r in groups):
-                self.part.release(e1)
-                self.part.release(e2)
-                self.report.bump_rejection(FailureReason.DEAD_PEER)
                 self.consecutive_failures += 1
                 continue
             if not groups:
                 # Zero-message fast path: commit immediately.
-                self.part.commit_removal(e1)
-                self.part.commit_removal(e2)
-                self.tracker.consume(e1)
-                self.tracker.consume(e2)
-                for e in mine:
-                    self.part.add_edge(*e)
+                self._apply_local((e1, e2), mine)
                 yield check_ops[4]
                 self.quota -= 1
                 self.report.switches_completed += 1
@@ -267,16 +236,13 @@ class ConversationMixin:
             # Local pair, but a replacement edge lives elsewhere: start
             # the validation chain (the paper's local switch with
             # P_k != P_i).
-            for e in mine:
-                self.reserved.add(e)
             conv = self._new_conv()
             self.active = InitiatorState(
                 conv, e1, e2=e2, checked_out=[e1, e2], reserved=list(mine),
                 peers=tuple(groups.keys()),
             )
             if aud is not None:
-                aud.conv_open(conv, "initiator", checked_out=2,
-                              reserved=len(mine))
+                aud.conv_open(conv, "initiator")
                 aud.record("initiate", conv, f"chain={list(groups.keys())}")
             chain = list(groups.keys()) + [me]
             msg = Validate(
@@ -288,56 +254,61 @@ class ConversationMixin:
 
     # -- message handlers ---------------------------------------------------
 
+    def _partner_phase(self, e1: Edge):
+        """The partner step of both the local pair and a remote
+        request: draw ``e2``, flip the kind, validate and reserve my
+        replacement edges.
+
+        Returns ``(reason, e2, kind, groups, mine)``.  ``reason`` is
+        ``None`` on success, else the failure; ``e2`` is ``None`` when
+        none was checked out; ``mine`` is ``None`` when no proposal was
+        made, else the replacement edges I own (reserved on success),
+        and ``groups`` the others by owner.  A plain method, not a
+        generator: the caller yields ``check_ops[len(mine)]`` for a
+        proposal and releases what a failure leaves checked out."""
+        part = self.part
+        if part.pool_size == 0:
+            return FailureReason.EMPTY_POOL, None, None, None, None
+        e2 = part.edge_at(self.sampler.index(part.pool_size))
+        part.checkout(e2)
+        kind = SwitchKind.CROSS if self.sampler.coin() \
+            else SwitchKind.STRAIGHT
+        proposal, reason = propose_switch(e1, e2, kind)
+        if proposal is None:
+            return reason, e2, kind, None, None
+        groups = self._group_by_owner(proposal.add)
+        mine = groups.pop(self.ctx.rank, [])
+        if self._conflicts(mine):
+            reason = FailureReason.PARALLEL
+        elif self.dead and any(r in self.dead for r in groups):
+            reason = FailureReason.DEAD_PEER
+        else:
+            self.reserved.update(mine)
+        return reason, e2, kind, groups, mine
+
     def handle_request(self, source: int, msg: SwitchRequest):
-        """Partner role: select ``e2``, decide the kind, validate own
-        replacement edges, and launch the validation chain."""
+        """Partner role: run the partner phase for ``msg.e1`` and launch
+        the validation chain, or send the initiator a Retry."""
         me = self.ctx.rank
         aud = self.audit
         if aud is not None:
             aud.record("request", msg.conv, f"from={source}")
         yield self.switch_op
-        if self.part.pool_size == 0:
-            if aud is not None:
-                aud.record("retry", msg.conv, "send empty_pool")
-            yield self._proto(
-                source, Retry(msg.conv, FailureReason.EMPTY_POOL.value))
-            return
-        e2 = self.part.edge_at(self.sampler.index(self.part.pool_size))
-        self.part.checkout(e2)
-        kind = SwitchKind.CROSS if self.sampler.coin() \
-            else SwitchKind.STRAIGHT
-        proposal, reason = propose_switch(msg.e1, e2, kind)
-        if proposal is None:
-            self.part.release(e2)
+        reason, e2, kind, groups, mine = self._partner_phase(msg.e1)
+        if mine is not None:
+            yield self.check_ops[len(mine)]
+        if reason is not None:
+            if e2 is not None:
+                self.part.release(e2)
             if aud is not None:
                 aud.record("retry", msg.conv, f"send {reason.value}")
             yield self._proto(source, Retry(msg.conv, reason.value))
             return
-        groups = self._group_by_owner(proposal.add)
-        mine = groups.pop(me, [])
-        yield self.check_ops[len(mine)]
-        if self._conflicts(mine):
-            self.part.release(e2)
-            if aud is not None:
-                aud.record("retry", msg.conv, "send parallel")
-            yield self._proto(
-                source, Retry(msg.conv, FailureReason.PARALLEL.value))
-            return
-        if self.dead and any(r in self.dead for r in groups):
-            self.part.release(e2)
-            if aud is not None:
-                aud.record("retry", msg.conv, "send dead_peer")
-            yield self._proto(
-                source, Retry(msg.conv, FailureReason.DEAD_PEER.value))
-            return
-        for e in mine:
-            self.reserved.add(e)
         self.servant[msg.conv] = ServantState(
             msg.conv, checked_out=[e2], reserved=mine,
             peers=tuple(groups.keys()))
         if aud is not None:
-            aud.conv_open(msg.conv, "partner", checked_out=1,
-                          reserved=len(mine))
+            aud.conv_open(msg.conv, "partner")
         chain = [r for r in groups.keys() if r != source] + [source]
         out = Validate(
             msg.conv, msg.e1, e2, kind.value, partner=me,
@@ -361,45 +332,36 @@ class ConversationMixin:
         groups = self._group_by_owner(proposal.add)
         mine = groups.get(me, [])
         yield self.check_ops[max(1, len(mine))]
-        if self.dead:
-            involved = (set(msg.visited) | set(msg.remaining)
-                        | {msg.partner, initiator})
-            if involved & self.dead:
-                # A participant died under this conversation: abort all
-                # live state holders, tell the initiator to retry.
-                if aud is not None:
-                    aud.record("abort", msg.conv, "send dead_peer")
-                for v in msg.visited:
-                    yield self._proto(v, Abort(msg.conv))
-                if me == initiator:
-                    st = self.active
-                    if st is not None and st.conv == msg.conv:
-                        if aud is not None:
-                            aud.conv_close(msg.conv, "abort")
-                        self._initiator_release(FailureReason.DEAD_PEER)
-                elif initiator not in self.dead:
-                    yield self._proto(
-                        initiator,
-                        Retry(msg.conv, FailureReason.DEAD_PEER.value))
-                return
-        if self._conflicts(mine):
+        dead = self.dead
+        if dead and not dead.isdisjoint(
+                (msg.partner, initiator, *msg.visited, *msg.remaining)):
+            reason = FailureReason.DEAD_PEER  # a participant died
+        elif self._conflicts(mine):
+            reason = FailureReason.PARALLEL
+        else:
+            reason = None
+        if reason is not None:
+            # Restart: abort every state holder upstream; the initiator
+            # drops its own state, or is told to by a Retry, and redraws.
             if aud is not None:
                 aud.record("abort", msg.conv,
-                           f"send to={list(msg.visited)}")
+                           f"send {reason.value} to={list(msg.visited)}")
             for v in msg.visited:
                 yield self._proto(v, Abort(msg.conv))
             if me == initiator:
+                # After a death the conversation may already be
+                # forfeited here, and a newer one active.
+                st = self.active
+                if st is not None and st.conv == msg.conv:
+                    if aud is not None:
+                        aud.conv_close(msg.conv, "abort")
+                    self._initiator_release(reason)
+            elif initiator not in dead:
                 if aud is not None:
-                    aud.conv_close(msg.conv, "abort")
-                self._initiator_release(FailureReason.PARALLEL)
-            else:
-                if aud is not None:
-                    aud.record("retry", msg.conv, "send parallel")
-                yield self._proto(
-                    initiator, Retry(msg.conv, FailureReason.PARALLEL.value))
+                    aud.record("retry", msg.conv, f"send {reason.value}")
+                yield self._proto(initiator, Retry(msg.conv, reason.value))
             return
-        for e in mine:
-            self.reserved.add(e)
+        self.reserved.update(mine)
         if msg.remaining:
             if me == initiator:
                 raise ProtocolError(
@@ -410,8 +372,7 @@ class ConversationMixin:
             self.servant[msg.conv] = ServantState(
                 msg.conv, checked_out=[], reserved=mine, peers=peers)
             if aud is not None:
-                aud.conv_open(msg.conv, "owner", checked_out=0,
-                              reserved=len(mine))
+                aud.conv_open(msg.conv, "owner")
             out = Validate(
                 msg.conv, msg.e1, msg.e2, msg.kind, msg.partner,
                 visited=msg.visited + (me,), remaining=msg.remaining[1:],
@@ -424,19 +385,11 @@ class ConversationMixin:
                 f"rank {me}: chain ended at non-initiator (conv {msg.conv})")
         st = self.active
         if st is None or st.conv != msg.conv:
-            if msg.conv in self.forfeited_convs:
-                # The conversation was forfeited when a peer died, but
-                # the validation chain still completed: tear it down.
-                if aud is not None:
-                    aud.record("abort", msg.conv, "send forfeited_conv")
-                for v in msg.visited:
-                    yield self._proto(v, Abort(msg.conv))
-                return
             raise ProtocolError(
                 f"rank {me}: commit for unknown conversation {msg.conv}")
         st.reserved.extend(mine)
         if aud is not None and mine:
-            aud.conv_reserve(msg.conv, len(mine))
+            aud.record("reserve", msg.conv, f"n={len(mine)}")
         self._apply_local(st.checked_out, st.reserved)
         yield self.check_ops[4]
         for v in msg.visited:
@@ -457,8 +410,8 @@ class ConversationMixin:
         everything and fall back to the initiation loop."""
         st = self.active
         if st is None or st.conv != msg.conv:
-            if self.channel is not None:
-                # Fault tolerance: a forfeited or already-resolved
+            if self.dead:
+                # After a death, a forfeited or already-resolved
                 # conversation can still receive late Retries (several
                 # servants report the same dead peer).
                 if self.audit is not None:
@@ -479,9 +432,9 @@ class ConversationMixin:
         reservations."""
         st = self.servant.pop(msg.conv, None)
         if st is None:
-            if self.channel is not None:
-                # State already dropped (peer death cleanup raced the
-                # abort) — nothing left to undo.
+            if self.dead:
+                # After a death: state already dropped (peer death
+                # cleanup raced the abort), nothing left to undo.
                 if self.audit is not None:
                     self.audit.record("abort", msg.conv, "recv stale ignored")
                 return
@@ -490,10 +443,7 @@ class ConversationMixin:
                 f"{msg.conv}")
         if self.audit is not None:
             self.audit.conv_close(msg.conv, "abort")
-        for e in st.checked_out:
-            self.part.release(e)
-        for e in st.reserved:
-            self.reserved.discard(e)
+        self._release(st)
         return
         yield  # pragma: no cover
 
@@ -502,7 +452,7 @@ class ConversationMixin:
         back; the initiator counted the switch when it committed."""
         st = self.servant.pop(msg.conv, None)
         if st is None:
-            if self.channel is not None:
+            if self.dead:
                 # Torn commit: our state went down with a dead peer but
                 # the initiator committed before learning of the death.
                 # The switch is accepted as torn (simplicity still
@@ -541,11 +491,14 @@ class ConversationMixin:
             self.report.global_switches += 1
         self.active = None
 
-    def _initiator_release(self, reason: FailureReason) -> None:
-        st = self.active
+    def _release(self, st) -> None:
+        """Undo a conversation's checkouts and reservations here."""
         for e in st.checked_out:
             self.part.release(e)
         for e in st.reserved:
             self.reserved.discard(e)
+
+    def _initiator_release(self, reason: FailureReason) -> None:
+        self._release(self.active)
         self.report.bump_rejection(reason)
         self.active = None

@@ -9,14 +9,14 @@ Per step (Section 4.5's three-phase summary):
    incoming protocol message; a two-phase termination wave over a
    binary tree detects when every rank's quota is done (phase 0) and
    then when every Commit and Abort has landed (phase 1);
-3. **Refresh** — an allgather collects the new ``|E_i|`` (and any
-   forfeited operations), the probability vector is rebuilt, and the
+3. **Refresh** — an allgather collects every rank's new ``|E_i|`` and
+   its completed operations, the probability vector is rebuilt, and the
    next step begins.
 
 Forfeits: a rank whose edge pool empties mid-step (its edges migrated
-away) cannot fulfil its remaining quota; the shortfall is added back to
-the global budget for subsequent steps, so the total operation count is
-preserved.
+away) cannot fulfil its remaining quota; the budget shrinks only by the
+step's completions, so the shortfall is carried into subsequent steps
+and the total operation count is preserved.
 
 Fault tolerance (``ParallelSwitchConfig.fault_tolerance``) changes the
 serve loop in three ways, all dormant when the feature is off:
@@ -49,7 +49,11 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.audit.auditor import ProtocolAuditor
 from repro.core.constraints import FailureReason
-from repro.core.parallel.ftolerance import ReliableChannel
+from repro.core.parallel.ftolerance import (
+    MAX_RETRIES,
+    RETRANSMIT_AFTER,
+    ReliableChannel,
+)
 from repro.core.parallel.messages import (
     Abort,
     Commit,
@@ -79,10 +83,6 @@ from repro.mpsim.ops import Compute, Probe, Recv, Send
 from repro.rvgen.parallel_multinomial import distribute_switch_counts
 
 __all__ = ["SwitchRank", "switch_rank_program"]
-
-#: Fallback serve-loop tick when the driver did not resolve one (only
-#: reachable when a rank program is built by hand); wall-clock seconds.
-_DEFAULT_TICK = 0.05
 
 #: Fault tolerance probes wildcard: obituaries travel under their own
 #: (negative) tag.
@@ -127,18 +127,15 @@ class SwitchRank(ConversationMixin):
             self.audit = None
         # fault tolerance (off by default: channel stays None, the set
         # checks below cost one falsy test each on the hot path)
-        ft = getattr(self.config, "fault_tolerance", None)
-        self.ftcfg = ft
-        if ft is not None:
-            self.channel = ReliableChannel(ctx.rank, ft)
+        tick = self.config.fault_tolerance
+        if tick is not None:
+            self.channel = ReliableChannel(ctx.rank)
             # The serve loop's timed receive: one "tick" of the channel.
-            self.ft_recv = Recv(
-                timeout=ft.tick if ft.tick is not None else _DEFAULT_TICK)
+            self.ft_recv = Recv(timeout=tick)
         else:
             self.channel = None
             self.ft_recv = None
         self.dead: Set[int] = set()
-        self.forfeited_convs = set()
         self.completed_total = [0] * ctx.size
         self._accounted_dead: Set[int] = set()
         #: Ranks a final DoneAll copy for the current step arrived from
@@ -159,7 +156,6 @@ class SwitchRank(ConversationMixin):
         self.q: List[float] = []
         self.q_pick = CumulativeWeights(self.q)
         self.quota = 0
-        self.step_forfeited = 0
         self.step_index = 0
         self._step_completed_base = 0
         # termination wave (see _done_gate): 0 and 1 are the phases
@@ -177,7 +173,7 @@ class SwitchRank(ConversationMixin):
         self.up = (me - 1) // 2 if me > 0 else -1
         self.children = [c for c in (2 * me + 1, 2 * me + 2) if c < ctx.size]
         self.waiting_for: FrozenSet[int] = frozenset(self.children)
-        if ft is not None:
+        if tick is not None:
             self._flat_topology()
 
     # -- main -----------------------------------------------------------
@@ -196,11 +192,9 @@ class SwitchRank(ConversationMixin):
             self.report.initial_count = self.tracker.initial_count
 
         counts = yield from self.ctx.allgather(self.part.num_edges, nbytes=8)
-        if self.channel is not None and any(c is None for c in counts):
-            # A rank died before the run even started.
-            for r, c in enumerate(counts):
-                if c is None and r not in self.dead:
-                    yield from self._on_rank_dead(r)
+        for r, c in enumerate(counts):
+            if c is None:  # a rank died before the run even started
+                yield from self._on_rank_dead(r)
         counts = [c if c is not None else 0 for c in counts]
         self._set_q(_normalise(counts))
         if self.audit is not None:
@@ -215,16 +209,8 @@ class SwitchRank(ConversationMixin):
             if self.audit is not None:
                 self.audit.begin_step(self.step_index, assigned, self.report)
             yield from self._run_step(assigned)
-            if self.channel is None:
-                pairs = yield from self.ctx.allgather(
-                    (self.part.num_edges, self.step_forfeited), nbytes=16)
-                counts = [c for c, _ in pairs]
-                forfeited = sum(f for _, f in pairs)
-                remaining -= step_quota - forfeited
-                stop = forfeited == step_quota and step_quota > 0
-            else:
-                remaining, counts, stop = yield from self._ft_step_barrier(
-                    remaining, step_quota)
+            remaining, counts, stop = yield from self._step_barrier(
+                remaining, step_quota)
             if self.audit is not None:
                 self.audit.end_step(self.step_index, self, sum(counts))
             self.report.edge_trajectory.append(self.part.num_edges)
@@ -278,7 +264,6 @@ class SwitchRank(ConversationMixin):
         # a few hundred failures instead of the configured ceiling.
         self.failure_limit = min(self.config.consecutive_failure_limit,
                                  64 + 16 * self.part.pool_size)
-        self.step_forfeited = 0
         self._step_completed_base = self.report.switches_completed
         self.phase = 0
         self.reported = (set(), set())
@@ -478,7 +463,6 @@ class SwitchRank(ConversationMixin):
         # it (the operation is retried with a fresh pair).
         st = self.active
         if st is not None and (st.partner == d or d in st.peers):
-            self.forfeited_convs.add(st.conv)
             if aud is not None:
                 aud.conv_close(st.conv, "forfeit")
             self._initiator_release(FailureReason.DEAD_PEER)
@@ -489,11 +473,7 @@ class SwitchRank(ConversationMixin):
         doomed = [c for c, s in self.servant.items()
                   if c[0] == d or d in s.peers]
         for conv in doomed:
-            sst = self.servant.pop(conv)
-            for e in sst.checked_out:
-                self.part.release(e)
-            for e in sst.reserved:
-                self.reserved.discard(e)
+            self._release(self.servant.pop(conv))
             if aud is not None:
                 aud.conv_close(conv, "forfeit")
             if conv[0] != d and conv[0] not in self.dead:
@@ -532,9 +512,8 @@ class SwitchRank(ConversationMixin):
         its own drain.  Bounded: once the window closes, the rest is
         left to :meth:`ReliableChannel.settle` (docs/protocol.md)."""
         ch = self.channel
-        cfg = self.ftcfg
         heard = self.done_heard
-        limit = ch.ticks + cfg.retransmit_after * (cfg.max_retries + 2)
+        limit = ch.ticks + RETRANSMIT_AFTER * (MAX_RETRIES + 2)
         for r in heard - self.dead:
             yield Send(r, TAG_PROTO, ch.ack_now(r), NBYTES[FrameAck])
         while self.servant or any(
@@ -572,32 +551,31 @@ class SwitchRank(ConversationMixin):
                 yield Send(source, TAG_PROTO, reply, NBYTES[FrameAck])
         ch.settle()
 
-    def _ft_step_barrier(self, remaining: int, step_quota: int):
-        """The fault-tolerant step allgather and budget accounting.
+    def _step_barrier(self, remaining: int, step_quota: int):
+        """The step allgather and budget accounting.
 
-        Every live rank contributes ``(|E_i|, forfeited, completed)``;
+        Every live rank contributes ``(|E_i|, completed this step)``;
         dead slots come back ``None`` (backend death consensus — every
         survivor sees the same set).  ``remaining`` shrinks by the sum
-        of live completions — provably identical to the fault-free
-        ``step_quota - forfeited`` rule while everyone is alive — and a
-        newly-dead rank's lifetime completions are re-budgeted, keeping
+        of live completions.  Each rank's assignment is its completions
+        plus its forfeits, and the assignments sum to ``step_quota``, so
+        this is the ``step_quota - Σ forfeited`` rule.  A newly-dead
+        rank's lifetime completions are re-budgeted, keeping
         ``t == Σ_survivor completed + unfulfilled`` exact."""
         step_completed = (self.report.switches_completed
                           - self._step_completed_base)
-        triples = yield from self.ctx.allgather(
-            (self.part.num_edges, self.step_forfeited, step_completed),
-            nbytes=24)
+        pairs = yield from self.ctx.allgather(
+            (self.part.num_edges, step_completed), nbytes=16)
         counts: List[int] = []
         completed_this = 0
-        for r, item in enumerate(triples):
+        for r, item in enumerate(pairs):
             if item is None:
                 counts.append(0)
-                if r not in self.dead:
-                    yield from self._on_rank_dead(r)
+                yield from self._on_rank_dead(r)
                 continue
             counts.append(item[0])
-            completed_this += item[2]
-            self.completed_total[r] += item[2]
+            completed_this += item[1]
+            self.completed_total[r] += item[1]
         remaining -= completed_this
         new_dead = sorted(self.dead - self._accounted_dead)
         for d in new_dead:

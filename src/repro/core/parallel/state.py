@@ -93,7 +93,7 @@ class RankReport:
     unfulfilled: int = 0
     #: Fault-tolerance channel counters (all zero when it is off):
     #: serve-loop ticks waited out, frames retransmitted, duplicate
-    #: frames suppressed, and frames given up after ``max_retries``.
+    #: frames suppressed, and frames given up after ``MAX_RETRIES``.
     ft_ticks: int = 0
     retransmits: int = 0
     dup_drops: int = 0

@@ -89,9 +89,9 @@ class TestFlightRecorder:
 class TestAuditorLedger:
     def test_double_open_detected(self):
         aud = ProtocolAuditor(0, AuditConfig())
-        aud.conv_open((0, 1), "initiator", checked_out=1, reserved=0)
+        aud.conv_open((0, 1), "initiator")
         with pytest.raises(ProtocolAuditError, match="opened twice"):
-            aud.conv_open((0, 1), "partner", checked_out=1, reserved=0)
+            aud.conv_open((0, 1), "partner")
 
     def test_close_unopened_detected(self):
         aud = ProtocolAuditor(0, AuditConfig())
@@ -100,10 +100,10 @@ class TestAuditorLedger:
 
     def test_error_carries_conv_trace(self):
         aud = ProtocolAuditor(0, AuditConfig())
-        aud.conv_open((0, 1), "initiator", checked_out=1, reserved=0)
+        aud.conv_open((0, 1), "initiator")
         aud.record("initiate", (0, 1), "partner=2")
         with pytest.raises(ProtocolAuditError) as info:
-            aud.conv_open((0, 1), "partner", checked_out=1, reserved=0)
+            aud.conv_open((0, 1), "partner")
         err = info.value
         assert err.conv == (0, 1)
         assert any(e.kind == "initiate" for e in err.events)

@@ -27,6 +27,21 @@ class TestConfigValidation:
         assert isinstance(cfg.cost, CostModel)
         assert not cfg.collect_edges
         assert cfg.consecutive_failure_limit > 0
+        assert cfg.fault_tolerance is None
+
+    @pytest.mark.parametrize("ft,tick", [(True, 50.0), (False, None),
+                                         (None, None)])
+    def test_fault_tolerance_resolves_to_the_sim_tick(self, er_graph, ft,
+                                                      tick):
+        res = parallel_edge_switch(er_graph, 2, t=20, step_size=10,
+                                   seed=1, fault_tolerance=ft)
+        assert res.config.fault_tolerance == tick
+
+    @pytest.mark.parametrize("ft", [0.05, 1, "yes"])
+    def test_fault_tolerance_takes_only_a_bool(self, er_graph, ft):
+        with pytest.raises(ConfigurationError, match="fault_tolerance"):
+            parallel_edge_switch(er_graph, 2, t=20, step_size=10,
+                                 fault_tolerance=ft)
 
 
 class TestMakePartitioner:

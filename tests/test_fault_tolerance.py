@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.core.parallel.driver import parallel_edge_switch
-from repro.core.parallel.ftolerance import FTConfig, ReliableChannel
+from repro.core.parallel.ftolerance import ReliableChannel
 from repro.core.parallel.messages import Frame, FrameAck
 from repro.errors import DeadlockError, ProtocolAuditError
 from repro.graphs.generators import erdos_renyi_gnm
@@ -132,7 +132,7 @@ class TestReliableChannelBaseline:
         the full budget and conserve everything on a fault-free run.
         (The exact edge list may differ from the unframed run — frames
         change message sizes, hence arrival order in the cost model.)"""
-        graph, framed = run("sim", None, ft=FTConfig())
+        graph, framed = run("sim", None, ft=True)
         check_survivor_invariants(graph, framed)
         assert framed.graph.degree_sequence() == graph.degree_sequence()
         assert framed.switches_completed == T
@@ -152,19 +152,32 @@ class TestReliableChannelBaseline:
         assert "rank" in str(exc.value)
 
 
+@pytest.fixture
+def dedup_disabled(monkeypatch):
+    """Mutation: the channel takes in duplicates as if they were new
+    (their acks still go out), so a duplicated frame is dispatched
+    twice."""
+    accept = ReliableChannel.accept
+
+    def mutated(self, source, frame):
+        payload, reply = accept(self, source, frame)
+        return frame.payload if payload is None else payload, reply
+
+    monkeypatch.setattr(ReliableChannel, "accept", mutated)
+
+
 class TestMutationDedupDisabled:
     """Disable the idempotent-receive layer and the auditor must catch
     the resulting double-dispatch — proof the dedup is load-bearing
     and the auditor can see through it."""
 
-    def test_auditor_catches_duplicate_dispatch(self):
+    def test_auditor_catches_duplicate_dispatch(self, dedup_disabled):
         plan = FaultPlan(seed=0, duplicate_rate=0.15)
         graph = erdos_renyi_gnm(60, 150, RngStream(1))
         with pytest.raises(ProtocolAuditError):
             parallel_edge_switch(
                 graph, RANKS, t=T, step_size=60, seed=2, backend="sim",
-                audit=True, faults=plan,
-                fault_tolerance=FTConfig(dedup=False))
+                audit=True, faults=plan)
 
 
 class TestBoundedDedup:
@@ -173,7 +186,7 @@ class TestBoundedDedup:
     reordering window rather than by the number of frames received."""
 
     def test_in_order_stream_leaves_no_out_of_order_state(self):
-        ch = ReliableChannel(0, FTConfig())
+        ch = ReliableChannel(0)
         for seq in range(10_000):
             assert ch.accept(1, Frame(seq, 0, seq)) == (seq, None)
         assert ch.links[1].low == 10_000
@@ -185,7 +198,7 @@ class TestBoundedDedup:
         assert ch.dup_drops == 1
 
     def test_reordered_duplicated_burst_delivered_exactly_once(self):
-        ch = ReliableChannel(0, FTConfig())
+        ch = ReliableChannel(0)
         burst = [3, 1, 3, 0, 2, 1, 5, 0, 4, 5, 2]
         delivered = [seq for seq in burst
                      if ch.accept(7, Frame(seq, 0, seq))[0] is not None]
@@ -199,7 +212,7 @@ class TestBoundedDedup:
         assert ch.accept(8, Frame(0, 0, "other"))[0] == "other"
 
     def test_gap_is_nacked_once_and_filled(self):
-        ch = ReliableChannel(0, FTConfig())
+        ch = ReliableChannel(0)
         assert ch.accept(1, Frame(0, 0, "a")) == ("a", None)
         # Seq 1 is missing: the first frame past it asks for it...
         assert ch.accept(1, Frame(2, 0, "c")) == ("c", FrameAck(1, True))
@@ -219,8 +232,8 @@ class TestBoundedDedup:
         and resends keep being lost); without the NACK, a gap left at a
         stopped timer would hold every later seq."""
         rng = random.Random(5)
-        a = ReliableChannel(0, FTConfig())
-        b = ReliableChannel(1, FTConfig())
+        a = ReliableChannel(0)
+        b = ReliableChannel(1)
         delivered = []
         peak = 0
 

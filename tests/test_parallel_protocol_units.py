@@ -41,13 +41,15 @@ class ModPartitioner(Partitioner):
         return v % self.num_ranks
 
 
-def make_rank(rank=0, size=2, vertices=(), edges=(), n=100):
+def make_rank(rank=0, size=2, vertices=(), edges=(), n=100, tick=None):
     """A SwitchRank wired to a real context but never run as a
-    program; we drive its handler generators by hand."""
+    program; we drive its handler generators by hand.  ``tick`` arms
+    fault tolerance (the reliable channel)."""
     part = ReducedAdjacencyGraph(vertices)
     for e in edges:
         part.add_edge(*e)
-    cfg = ParallelSwitchConfig(t=10, step_size=10, cost=CostModel())
+    cfg = ParallelSwitchConfig(t=10, step_size=10, cost=CostModel(),
+                               fault_tolerance=tick)
     args = PerRankArgs(part, ModPartitioner(n, size), cfg)
     ctx = RankContext(rank, size, RngStream(1), args)
     return SwitchRank(ctx)
@@ -221,3 +223,68 @@ class TestValidateChain:
                        visited=(1,), remaining=(1,))
         with pytest.raises(ProtocolError):
             drain(rank.handle_validate(1, msg))
+
+
+def unframed(sends):
+    """``(dest, payload)`` of each Send, out of its reliable frame."""
+    return [(op.dest, op.payload.payload) for op in sends]
+
+
+STALE = [
+    ("handle_retry", Retry((0, 7), "parallel")),
+    ("handle_abort", Abort((1, 7))),
+    ("handle_commit", Commit((1, 7))),
+]
+
+
+class TestStaleTrafficAfterDeath:
+    """Under fault tolerance a message for an unknown conversation is
+    tolerated only once a peer has died: before that, nothing can have
+    dropped the state it was meant for."""
+
+    @pytest.mark.parametrize("handler,msg", STALE)
+    def test_unknown_conv_raises_while_all_alive(self, handler, msg):
+        rank = make_rank(tick=50.0)
+        assert rank.channel is not None
+        with pytest.raises(ProtocolError):
+            drain(getattr(rank, handler)(1, msg))
+
+    @pytest.mark.parametrize("handler,msg", STALE)
+    def test_unknown_conv_ignored_after_a_death(self, handler, msg):
+        rank = make_rank(size=3, tick=50.0)
+        drain(rank._on_rank_dead(2))
+        assert drain(getattr(rank, handler)(1, msg)) == []
+        assert rank.active is None and not rank.servant
+
+
+class TestForfeitedChainReturns:
+    def test_completed_validate_for_forfeited_conv_aborts_visited(self):
+        """Rank 0's partner (rank 1) dies while rank 0's conversation
+        (0, 0) is in flight, so rank 0 forfeits it and starts (0, 1).
+        The chain of (0, 0) still completes through rank 2 and returns
+        to rank 0.  Rank 0 aborts it at every visited rank (the copy
+        to dead rank 1 is dropped at the source), leaves (0, 1) alone
+        and raises nothing."""
+        rank = make_rank(rank=0, size=3, vertices=[0, 3, 6, 9],
+                         edges=[(0, 4), (3, 7)], tick=50.0)
+        rank.part.checkout((0, 4))
+        rank.active = InitiatorState((0, 0), (0, 4), checked_out=[(0, 4)],
+                                     partner=1, peers=(1,))
+        rank.serial = 1
+        drain(rank._on_rank_dead(1))
+        assert rank.active is None
+        assert rank.report.rejections.get("dead_peer") == 1
+        rank.part.checkout((3, 7))
+        newer = InitiatorState((0, 1), (3, 7), checked_out=[(3, 7)],
+                               partner=2, peers=(2,))
+        rank.active = newer
+        # straight: replacements (0, 5) (owned here) and (4, 8)
+        msg = Validate((0, 0), (0, 4), (5, 8), "straight", partner=1,
+                       visited=(1, 2), remaining=())
+        sends = drain(rank.handle_validate(2, msg))
+        assert unframed(sends) == [(2, Abort((0, 0)))]
+        assert rank.active is newer
+        assert newer.checked_out == [(3, 7)] and newer.reserved == []
+        assert not rank.reserved
+        assert rank.part.is_checked_out((3, 7))
+        assert not rank.part.is_checked_out((0, 4))

@@ -34,6 +34,16 @@ messages: ``fault_tolerance`` 1145.16 / 5,648 → 902.69 / 3,015,
 1356.96 / 6,259 → 1126.32 / 3,387.  ``plain`` and ``ranks64`` run
 without the channel and did not move.
 
+The same three makespans were re-captured once more when runs with and
+without the channel came to share one step barrier.  Its allgather
+carries ``(|E_i|, completed)`` in 16 bytes, where the fault-tolerant
+runs sent a 24-byte triple, so each step's allgather costs β·8·p less
+(p = 8) and nothing else moves: messages, attempts and the edge list
+are unchanged.  Old → new makespan: ``fault_tolerance`` 902.6945 →
+902.5664, ``message_faults`` 8605.2439 → 8605.1158 (2 steps each),
+``crash`` 1126.3174 → 1125.9973 (5 steps).  ``plain`` and ``ranks64``
+already sent 16 bytes and did not move.
+
 The crash run crashes rank 2 at op 392.  Ops are counted per rank, and
 without Commit acknowledgements op 392 falls at another protocol point
 than it did when the index was chosen; the run still loses rank 2
@@ -66,18 +76,18 @@ PINNED = {
     ),
     "fault_tolerance": (
         {"fault_tolerance": True}, 2,
-        902.6944952011108, 3015, 704,
+        902.5664434432983, 3015, 704,
         "6ad4b26ba554916752ed1819af6fb8608ab097c80382c6e7331a1eb2e4e1aa96",
     ),
     "message_faults": (
         {"faults": FaultPlan(seed=3, drop_rate=0.05, duplicate_rate=0.05,
                              delay_rate=0.05)}, 2,
-        8605.243858337402, 4083, 697,
+        8605.11580657959, 4083, 697,
         "27c070cd1eedcf1c7f0230ecfa76b7b34d0d97a373920a22dfd1f5651dbb2999",
     ),
     "crash": (
         {"faults": FaultPlan(seed=5, crash_rank=2, crash_at_op=392)}, 5,
-        1126.3174180984497, 3387, 736,
+        1125.9972887039185, 3387, 736,
         "8e9bd3ed1a14990a20471a21f62f91b1bc03f5181969015e84d32ad94a7c2f03",
     ),
     "ranks64": (
