@@ -66,11 +66,6 @@ class ParallelSwitchConfig:
     step_size: int
     #: Machine constants used for simulated compute charging.
     cost: CostModel = field(default_factory=CostModel)
-    #: Step-budget guard multiplier (forfeit pathologies).
-    max_steps_factor: int = 3
-    #: Give up one operation after this many consecutive failed
-    #: attempts (degenerate graphs).
-    consecutive_failure_limit: int = 10_000
     #: Ship each rank's final edge list back in its report (needed by
     #: backends without shared memory).
     collect_edges: bool = False

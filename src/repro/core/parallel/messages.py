@@ -92,10 +92,16 @@ class Validate(NamedTuple):
 
 
 class Retry(NamedTuple):
-    """Any participant → initiator: attempt failed, pick a new pair."""
+    """Any participant → initiator: attempt failed, pick a new pair.
+
+    ``dead`` names the rank whose death caused the failure (``-1``: no
+    death).  The receiver learns of that death first, because a Retry
+    can arrive before the dead rank's obituary (process backend: they
+    travel on different pipes)."""
 
     conv: Conv
     reason: str  # FailureReason.value
+    dead: int = -1
 
 
 class Abort(NamedTuple):

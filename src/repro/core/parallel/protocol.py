@@ -203,8 +203,7 @@ class ConversationMixin:
                     self.consecutive_failures += 1
                     continue
                 conv = self._new_conv()
-                self.active = InitiatorState(conv, e1, checked_out=[e1],
-                                             partner=partner, peers=(partner,))
+                self.active = InitiatorState(conv, e1, checked_out=[e1])
                 if aud is not None:
                     aud.conv_open(conv, "initiator")
                     aud.record("initiate", conv, f"partner={partner}")
@@ -238,9 +237,7 @@ class ConversationMixin:
             # P_k != P_i).
             conv = self._new_conv()
             self.active = InitiatorState(
-                conv, e1, e2=e2, checked_out=[e1, e2], reserved=list(mine),
-                peers=tuple(groups.keys()),
-            )
+                conv, e1, e2=e2, checked_out=[e1, e2], reserved=list(mine))
             if aud is not None:
                 aud.conv_open(conv, "initiator")
                 aud.record("initiate", conv, f"chain={list(groups.keys())}")
@@ -333,9 +330,16 @@ class ConversationMixin:
         mine = groups.get(me, [])
         yield self.check_ops[max(1, len(mine))]
         dead = self.dead
-        if dead and not dead.isdisjoint(
-                (msg.partner, initiator, *msg.visited, *msg.remaining)):
-            reason = FailureReason.DEAD_PEER  # a participant died
+        # The first dead participant (-1: none).
+        gone = next((r for r in (msg.partner, initiator, *msg.visited,
+                                 *msg.remaining) if r in dead),
+                    -1) if dead else -1
+        st = self.active
+        if gone >= 0 or (dead and me == initiator
+                         and (st is None or st.conv != msg.conv)):
+            # A participant died, or the chain came back to an
+            # initiator that forfeited the conversation on a death.
+            reason = FailureReason.DEAD_PEER
         elif self._conflicts(mine):
             reason = FailureReason.PARALLEL
         else:
@@ -351,7 +355,6 @@ class ConversationMixin:
             if me == initiator:
                 # After a death the conversation may already be
                 # forfeited here, and a newer one active.
-                st = self.active
                 if st is not None and st.conv == msg.conv:
                     if aud is not None:
                         aud.conv_close(msg.conv, "abort")
@@ -359,7 +362,8 @@ class ConversationMixin:
             elif initiator not in dead:
                 if aud is not None:
                     aud.record("retry", msg.conv, f"send {reason.value}")
-                yield self._proto(initiator, Retry(msg.conv, reason.value))
+                yield self._proto(initiator,
+                                  Retry(msg.conv, reason.value, gone))
             return
         self.reserved.update(mine)
         if msg.remaining:
@@ -383,7 +387,6 @@ class ConversationMixin:
         if me != initiator:
             raise ProtocolError(
                 f"rank {me}: chain ended at non-initiator (conv {msg.conv})")
-        st = self.active
         if st is None or st.conv != msg.conv:
             raise ProtocolError(
                 f"rank {me}: commit for unknown conversation {msg.conv}")
@@ -408,6 +411,10 @@ class ConversationMixin:
     def handle_retry(self, source: int, msg: Retry):
         """Initiator role: the attempt failed somewhere; release
         everything and fall back to the initiation loop."""
+        if msg.dead >= 0:
+            # Learn of the death that caused it first: its obituary may
+            # still be on the way.
+            yield from self._on_rank_dead(msg.dead)
         st = self.active
         if st is None or st.conv != msg.conv:
             if self.dead:
@@ -424,8 +431,6 @@ class ConversationMixin:
             self.audit.conv_close(msg.conv, "retry")
         self._initiator_release(FailureReason(msg.reason))
         self.consecutive_failures += 1
-        return
-        yield  # pragma: no cover - makes this a generator like its peers
 
     def handle_abort(self, source: int, msg: Abort):
         """Servant role: drop conversation state, undo checkout and

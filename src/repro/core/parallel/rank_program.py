@@ -84,6 +84,13 @@ from repro.rvgen.parallel_multinomial import distribute_switch_counts
 
 __all__ = ["SwitchRank", "switch_rank_program"]
 
+#: Step-budget guard: a run stops after this many times the steps its
+#: budget needs (plus 8), whatever forfeits leave undelivered.
+MAX_STEPS_FACTOR = 3
+#: Livelock guard ceiling: give up one operation after this many
+#: consecutive failed attempts (degenerate graphs such as stars).
+CONSECUTIVE_FAILURE_LIMIT = 10_000
+
 #: Fault tolerance probes wildcard: obituaries travel under their own
 #: (negative) tag.
 _PROBE_ANY = Probe()
@@ -103,7 +110,7 @@ class SwitchRank(ConversationMixin):
         self.switch_op = Compute(cost.switch_compute)
         self.check_ops = tuple(Compute(cost.check_compute * k)
                                for k in range(5))
-        self.failure_limit = args.config.consecutive_failure_limit
+        self.failure_limit = CONSECUTIVE_FAILURE_LIMIT
         self.report = RankReport(rank=ctx.rank)
         #: Conversation handler per payload type, bound once per rank
         #: (the serve loop's fault-free dispatch, and ``_dispatch``).
@@ -200,7 +207,7 @@ class SwitchRank(ConversationMixin):
         if self.audit is not None:
             self.audit.begin_run(sum(counts))
 
-        max_steps = cfg.max_steps_factor * _ceil_div(cfg.t, cfg.step_size) + 8
+        max_steps = MAX_STEPS_FACTOR * _ceil_div(cfg.t, cfg.step_size) + 8
         while remaining > 0 and self.step_index < max_steps:
             step_quota = min(cfg.step_size, remaining)
             assigned = yield from distribute_switch_counts(
@@ -261,8 +268,8 @@ class SwitchRank(ConversationMixin):
         self.quota = assigned
         # Livelock guard, scaled to what this rank can pick from: a
         # small partition whose edges cannot be switched forfeits after
-        # a few hundred failures instead of the configured ceiling.
-        self.failure_limit = min(self.config.consecutive_failure_limit,
+        # a few hundred failures instead of the ceiling.
+        self.failure_limit = min(CONSECUTIVE_FAILURE_LIMIT,
                                  64 + 16 * self.part.pool_size)
         self._step_completed_base = self.report.switches_completed
         self.phase = 0
@@ -459,10 +466,13 @@ class SwitchRank(ConversationMixin):
         if d < len(self.q):
             self.q[d] = 0.0  # never pick the dead as a partner again
             self._set_q(self.q)
-        # My own in-flight conversation involved the dead rank: forfeit
-        # it (the operation is retried with a fresh pair).
+        # Forfeit my own in-flight conversation, whoever takes part in
+        # it (the operation is retried with a fresh pair): I know only
+        # its partner, and an owner that dies after rejecting it leaves
+        # nobody to send me the Retry.  A chain that still comes back
+        # is aborted in handle_validate.
         st = self.active
-        if st is not None and (st.partner == d or d in st.peers):
+        if st is not None:
             if aud is not None:
                 aud.conv_close(st.conv, "forfeit")
             self._initiator_release(FailureReason.DEAD_PEER)
@@ -478,7 +488,7 @@ class SwitchRank(ConversationMixin):
                 aud.conv_close(conv, "forfeit")
             if conv[0] != d and conv[0] not in self.dead:
                 yield self._proto(
-                    conv[0], Retry(conv, FailureReason.DEAD_PEER.value))
+                    conv[0], Retry(conv, FailureReason.DEAD_PEER.value, d))
 
     def _flat_topology(self) -> None:
         """Fault-tolerant termination: flat, rooted at the lowest live

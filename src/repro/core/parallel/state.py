@@ -26,11 +26,6 @@ class InitiatorState:
     checked_out: List[Edge] = field(default_factory=list)
     #: Replacement edges this rank reserved (to add at commit).
     reserved: List[Edge] = field(default_factory=list)
-    #: Remote partner rank, when there is one (fault tolerance: the
-    #: conversation is forfeited if this rank dies).
-    partner: Optional[int] = None
-    #: Every other rank known to participate (fault tolerance).
-    peers: Tuple[int, ...] = ()
 
 
 @dataclass

@@ -13,20 +13,33 @@ Determinism: ties on the heap are broken by rank id, messages are FIFO
 per (source, dest) pair, and all randomness comes from per-rank
 spawned streams — the same master seed always yields the same trace.
 
+Wake rule: a blocked receive keeps one wake time, the earliest
+arrival of a matching message or its deadline, whichever comes first.
+A delivery pushes a new wake only when it is earlier than that, and
+the woken rank's clock is set to the wake time.  So a rank never wakes
+after a message it could have taken, and a woken receive resolves at
+the global minimum time like every other synchronising op.
+
+One delivery, one receive: every message — a send, each message a
+fault injector releases, a crash's obituaries — reaches its mailbox
+through :meth:`SimulationEngine._deliver` (the FIFO clamp, the mailbox
+append, the wake check), and every receive, fresh or woken, runs
+through :meth:`SimulationEngine._recv`.  A blocked rank keeps its
+:class:`Recv` as its pending op, and its wake event runs it again.
+
 Hot path: :meth:`SimulationEngine.run` is one event loop that pops an
-event and then drives that rank's generator in place, and it is
-written for speed.  The cost-model constants, the FIFO table and the
-heap are bound to locals once per run and each generator's ``send``
-once per rank; trace counters are bumped inline; the fault-free send
-is inlined, with the wire-time formula (``α + β·bytes``; ``CostModel``
-is a flat frozen value type, never subclassed) and the delivered
-:class:`~repro.mpsim.ops.Message` built by ``tuple.__new__``; FIFO
-channels are keyed by ``source·p + dest`` ints; and a rank whose
-deferred synchronising op would provably be the next event popped
-skips the heap round-trip.  That last fast path preserves the exact
-event order: the rank proceeds only when ``(clock, rid)`` sorts
-strictly before the heap top, which is precisely the condition under
-which pushing and immediately popping would return the same rank.
+event and then drives that rank's generator in place.  The cost-model
+constants and the heap are bound to locals once per run and each
+generator's ``send`` once per rank; trace counters are bumped inline;
+the wire time is computed inline (``α + β·bytes``; ``CostModel`` is a
+flat frozen value type, never subclassed), and ``_deliver`` builds the
+:class:`~repro.mpsim.ops.Message` by ``tuple.__new__``; FIFO channels
+are keyed by ``source·p + dest`` ints; and a rank whose deferred
+synchronising op would provably be the next event popped skips the
+heap round-trip.  That last fast path preserves the exact event order:
+the rank proceeds only when ``(clock, rid)`` sorts strictly before the
+heap top, which is precisely the condition under which pushing and
+immediately popping would return the same rank.
 """
 
 from __future__ import annotations
@@ -63,30 +76,34 @@ _DONE = 3
 # Minimum spacing enforcing FIFO per channel.
 _FIFO_EPS = 1e-9
 
+_INF = float("inf")
+
 
 class _RankState:
     """Mutable per-rank bookkeeping."""
 
     __slots__ = (
-        "rid", "send", "clock", "status", "mailbox", "want_source",
-        "want_tag", "block_clock", "deadline", "token", "resume_value",
-        "pending_op", "value", "trace",
+        "rid", "send", "clock", "status", "mailbox", "deadline", "wake",
+        "token", "resume_value", "pending_op", "value", "trace",
     )
 
     def __init__(self, rid: int, gen: Generator):
         self.rid = rid
         #: The generator's ``send``, bound once for the event loop.
         self.send = gen.send
+        #: Virtual time; it stays where the rank blocked until it wakes.
         self.clock = 0.0
         self.status = _READY
         self.mailbox: List[Message] = []
-        self.want_source = 0
-        self.want_tag = 0
-        self.block_clock = 0.0
-        #: Virtual time at which a timed Recv gives up (None = forever).
-        self.deadline: Optional[float] = None
+        #: Virtual time at which a blocked timed Recv gives up.
+        self.deadline = _INF
+        #: A blocked Recv's wake time: its earliest matching arrival,
+        #: or its deadline.
+        self.wake = _INF
         self.token = 0
         self.resume_value: Any = None
+        #: The op to run when the rank's next event pops: a deferred
+        #: synchronising op, or the Recv it is blocked on.
         self.pending_op: Any = None
         self.value: Any = None
         self.trace = RankTrace(rid)
@@ -123,23 +140,22 @@ class SimulationEngine:
     def run(self) -> float:
         """Run to completion; returns the simulated makespan.
 
-        One event loop: pop the earliest event, complete the receive it
-        announces, then drive that rank's generator until it blocks,
-        defers or ends (see the module docstring's hot-path notes).
+        One event loop: pop the earliest event, then drive that rank
+        from its pending op (a deferred op, or the Recv a wake is for)
+        until it blocks, defers or ends (see the module docstring's
+        hot-path notes).
         """
-        cm = self.cm
-        send_ovh = cm.send_overhead
-        alpha = cm.alpha
-        beta = cm.beta
+        send_ovh = self.cm.send_overhead
+        alpha = self.cm.alpha
+        beta = self.cm.beta
         p = self.p
         ranks = self.ranks
         dead = self.collectives.dead
-        fifo = self._fifo_last
-        fifo_get = fifo.get
+        deliver = self._deliver
+        recv = self._recv
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
-        new_tuple = tuple.__new__
         injectors = self.injectors
         max_events = self.max_events
         events = 0
@@ -160,19 +176,15 @@ class SimulationEngine:
                     "likely a livelock in a rank program"
                 )
             if status == _BLOCKED_RECV:
-                self._complete_recv(state, t_pop)
-                if state.status != _READY:
-                    continue
-                t_pop = state.clock
-            elif status != _READY:
-                # BLOCKED_COLL ranks are resumed via _finish_collective.
+                state.clock = t_pop  # the wake time
+            elif status == _BLOCKED_COLL:
+                # Collective members are resumed via _finish_collective.
                 raise SimulationError(
                     f"rank {rid}: unexpected event while blocked on a collective"
                 )
             trace = state.trace
             gen_send = state.send
             inj = injectors[rid] if injectors is not None else None
-            chan_base = rid * p
             value = state.resume_value
             state.resume_value = None
             op = state.pending_op
@@ -210,56 +222,23 @@ class SimulationEngine:
                     op = None
                     continue
                 if kind is Send:
-                    if inj is not None:
-                        for real in inj.on_send(op):
-                            self._do_send(state, real)
-                        op = None
-                        continue
-                    # The fault-free send, inlined: _do_send's
-                    # arithmetic without per-message function calls.
-                    dest_rid, tag, payload, nbytes = op
-                    if dest_rid < 0 or dest_rid >= p:
-                        raise SimulationError(
-                            f"rank {rid} sent to invalid rank {dest_rid}"
-                        )
-                    clock = state.clock + send_ovh
-                    state.clock = clock
-                    trace.compute_time += send_ovh
-                    if dead and dest_rid in dead:
-                        # Dead letter: charged to the sender, never
-                        # delivered.
-                        trace.dead_letters += 1
-                        op = None
-                        continue
-                    arrival = clock + alpha + beta * nbytes
-                    chan = chan_base + dest_rid
-                    last = fifo_get(chan)
-                    if last is not None and arrival <= last:
-                        arrival = last + _FIFO_EPS
-                    fifo[chan] = arrival
-                    dest = ranks[dest_rid]
-                    # Message(rid, tag, payload, arrival) without the
-                    # NamedTuple constructor's Python frame.
-                    dest.mailbox.append(
-                        new_tuple(Message, (rid, tag, payload, arrival)))
-                    trace.messages_sent += 1
-                    trace.bytes_sent += nbytes
-                    if dest.status == _BLOCKED_RECV:
-                        ws = dest.want_source
-                        wt = dest.want_tag
-                        if ((ws == -1 or ws == rid)
-                                and (wt == -1 or wt == tag)):
-                            bc = dest.block_clock
-                            wake = arrival if arrival > bc else bc
-                            ddl = dest.deadline
-                            if ddl is None or wake <= ddl:
-                                tk = dest.token + 1
-                                dest.token = tk
-                                heappush(heap, (wake, dest_rid, tk))
-                            # else: the receive's deadline event is
-                            # still the valid token and fires first —
-                            # the receive times out before this message
-                            # arrives.
+                    for real in (op,) if inj is None else inj.on_send(op):
+                        dest, tag, payload, nbytes = real
+                        if dest < 0 or dest >= p:
+                            raise SimulationError(
+                                f"rank {rid} sent to invalid rank {dest}")
+                        clock = state.clock + send_ovh
+                        state.clock = clock
+                        trace.compute_time += send_ovh
+                        if dead and dest in dead:
+                            # Dead letter: charged to the sender, never
+                            # delivered.
+                            trace.dead_letters += 1
+                            continue
+                        trace.messages_sent += 1
+                        trace.bytes_sent += nbytes
+                        deliver(rid, dest, tag, payload,
+                                clock + alpha + beta * nbytes)
                     op = None
                     continue
                 # Synchronising ops must resolve at the global minimum
@@ -294,19 +273,18 @@ class SimulationEngine:
                             "likely a livelock in a rank program"
                         )
                 if kind is Recv:
-                    if self._try_recv(state, op):
+                    if recv(state, op):
                         value = state.resume_value
                         state.resume_value = None
                         op = None
                         continue
                     break  # blocked
                 if kind is Probe:
-                    now = state.clock
                     src = op.source
                     tag = op.tag
                     value = False
                     for msg in state.mailbox:
-                        if (msg.arrival <= now
+                        if (msg.arrival <= clock
                                 and (src == -1 or src == msg.source)
                                 and (tag == -1 or tag == msg.tag)):
                             value = True
@@ -340,9 +318,10 @@ class SimulationEngine:
         blocked = []
         for st in self.ranks:
             if st.status == _BLOCKED_RECV:
+                op = st.pending_op
                 blocked.append(
-                    f"rank {st.rid} waiting for (source={st.want_source}, "
-                    f"tag={st.want_tag}) at t={st.block_clock:.3f}"
+                    f"rank {st.rid} waiting for (source={op.source}, "
+                    f"tag={op.tag}) at t={st.clock:.3f}"
                 )
             elif st.status == _BLOCKED_COLL:
                 blocked.append(f"rank {st.rid} waiting in a collective")
@@ -351,124 +330,81 @@ class SimulationEngine:
             + "\n  ".join(blocked)
         )
 
-    # -- op execution ----------------------------------------------------------
+    # -- messages ----------------------------------------------------------
 
-    def _do_send(self, state: _RankState, op: Send) -> None:
-        """Single-message send (the fault-injection path; the fault-free
-        send is inlined in :meth:`run`)."""
-        if not 0 <= op.dest < self.p:
-            raise SimulationError(
-                f"rank {state.rid} sent to invalid rank {op.dest}"
-            )
-        cm = self.cm
-        state.clock += cm.send_overhead
-        state.trace.record_compute(cm.send_overhead)
-        if op.dest in self.collectives.dead:
-            # Dead letter: charged to the sender, never delivered.
-            state.trace.dead_letters += 1
-            return
-        arrival = state.clock + cm.wire_time(op.nbytes)
-        chan = state.rid * self.p + op.dest
-        last = self._fifo_last.get(chan)
-        if last is not None and arrival <= last:
+    def _deliver(self, src: int, dest: int, tag: int, payload: Any,
+                 arrival: float) -> None:
+        """Put a message into ``dest``'s mailbox, clamped to arrive
+        after the last one on channel ``src → dest`` (FIFO), and wake a
+        receive blocked on it."""
+        chan = src * self.p + dest
+        last = self._fifo_last.get(chan, -_INF)
+        if arrival <= last:
             arrival = last + _FIFO_EPS
         self._fifo_last[chan] = arrival
-        msg = Message(state.rid, op.tag, op.payload, arrival)
-        dest = self.ranks[op.dest]
-        dest.mailbox.append(msg)
-        state.trace.record_send(op.nbytes)
-        if dest.status == _BLOCKED_RECV and msg.matches(dest.want_source, dest.want_tag):
-            wake = max(dest.block_clock, arrival)
-            if dest.deadline is None or wake <= dest.deadline:
-                self._push(dest, wake)
-            # else: the receive's deadline event is still the valid
-            # token and fires first — the receive times out before
-            # this message arrives.
+        st = self.ranks[dest]
+        # Message(src, tag, payload, arrival) without the NamedTuple
+        # constructor's Python frame.
+        st.mailbox.append(tuple.__new__(Message, (src, tag, payload, arrival)))
+        if st.status == _BLOCKED_RECV:
+            want = st.pending_op
+            if ((want.source == -1 or want.source == src)
+                    and (want.tag == -1 or want.tag == tag)):
+                wake = arrival if arrival > st.clock else st.clock
+                if wake < st.wake:
+                    st.wake = wake
+                    self._push(st, wake)
 
-    def _try_recv(self, state: _RankState, op: Recv) -> bool:
-        """Complete the receive if a matching message has arrived;
-        otherwise block the rank.  Returns True on completion."""
+    def _recv(self, state: _RankState, op: Recv) -> bool:
+        """Run ``op`` at the rank's clock, fresh or at a wake: take the
+        earliest matching message that has arrived, or time out at the
+        deadline, or block (again) until the wake time.  Returns False
+        when the rank blocks."""
         now = state.clock
         src = op.source
         tag = op.tag
+        best = None
         best_idx = -1
-        best_arrival = float("inf")
-        earliest_future = None
+        future = _INF
         idx = 0
         for msg in state.mailbox:
             if (src == -1 or src == msg.source) and (tag == -1
                                                      or tag == msg.tag):
                 arr = msg.arrival
                 if arr <= now:
-                    if arr < best_arrival:
-                        best_arrival = arr
+                    if best is None or arr < best.arrival:
+                        best = msg
                         best_idx = idx
-                elif earliest_future is None or arr < earliest_future:
-                    earliest_future = arr
+                elif arr < future:
+                    future = arr
             idx += 1
-        if best_idx >= 0:
-            msg = state.mailbox.pop(best_idx)
+        if best is not None:
+            del state.mailbox[best_idx]
             ovh = self.cm.recv_overhead
             state.clock = now + ovh
+            state.status = _READY
+            state.deadline = _INF
             trace = state.trace
             trace.messages_received += 1
             trace.compute_time += ovh
-            state.resume_value = msg
+            state.resume_value = best
             return True
-        state.status = _BLOCKED_RECV
-        state.want_source = src
-        state.want_tag = tag
-        state.block_clock = now
-        state.deadline = None if op.timeout is None else now + op.timeout
-        wake = earliest_future
-        if state.deadline is not None and (wake is None
-                                           or state.deadline < wake):
-            wake = state.deadline
-        if wake is not None:
+        if state.status != _BLOCKED_RECV:
+            state.status = _BLOCKED_RECV
+            if op.timeout is not None:
+                state.deadline = now + op.timeout
+        elif now >= state.deadline:
+            # A timed receive expired with nothing matching: resume the
+            # rank with None at the deadline.
+            state.status = _READY
+            state.deadline = _INF
+            return True
+        state.pending_op = op
+        wake = future if future < state.deadline else state.deadline
+        state.wake = wake
+        if wake < _INF:
             self._push(state, wake)
         return False
-
-    def _complete_recv(self, state: _RankState, time: float) -> None:
-        """Wake event for a blocked receiver: consume the earliest
-        matching arrived message."""
-        src = state.want_source
-        tag = state.want_tag
-        best_idx = -1
-        best_arrival = float("inf")
-        idx = 0
-        for msg in state.mailbox:
-            arr = msg.arrival
-            if (arr <= time and arr < best_arrival
-                    and (src == -1 or src == msg.source)
-                    and (tag == -1 or tag == msg.tag)):
-                best_arrival = arr
-                best_idx = idx
-            idx += 1
-        if best_idx < 0:
-            if (state.deadline is not None
-                    and time >= state.deadline - _FIFO_EPS):
-                # Timed receive expired with nothing matching: resume
-                # the rank with None at the deadline.
-                state.clock = max(state.block_clock, state.deadline)
-                state.status = _READY
-                state.deadline = None
-                state.resume_value = None
-                return
-            # The message this wake announced was consumed is impossible
-            # (only this rank consumes its mailbox); treat as fault.
-            raise SimulationError(
-                f"rank {state.rid}: wake at t={time} with no matching message"
-            )
-        msg = state.mailbox.pop(best_idx)
-        bc = state.block_clock
-        ovh = self.cm.recv_overhead
-        state.clock = (best_arrival if best_arrival > bc else bc) + ovh
-        state.status = _READY
-        state.deadline = None
-        trace = state.trace
-        trace.messages_received += 1
-        trace.compute_time += ovh
-        state.resume_value = msg
 
     # -- collectives -------------------------------------------------------------
 
@@ -505,23 +441,10 @@ class SimulationEngine:
         state.trace.crashed = True
         state.trace.finish_time = state.clock
         self._finished += 1
+        arrival = state.clock + self.cm.wire_time(64)
         obit = RankObituary(rid)
-        cm = self.cm
         for st in self.ranks:
-            if st.status == _DONE:
-                continue
-            arrival = state.clock + cm.wire_time(64)
-            chan = rid * self.p + st.rid
-            last = self._fifo_last.get(chan)
-            if last is not None and arrival <= last:
-                arrival = last + _FIFO_EPS
-            self._fifo_last[chan] = arrival
-            msg = Message(rid, TAG_OBITUARY, obit, arrival)
-            st.mailbox.append(msg)
-            if (st.status == _BLOCKED_RECV
-                    and msg.matches(st.want_source, st.want_tag)):
-                wake = max(st.block_clock, arrival)
-                if st.deadline is None or wake <= st.deadline:
-                    self._push(st, wake)
+            if st.status != _DONE:
+                self._deliver(rid, st.rid, TAG_OBITUARY, obit, arrival)
         for done in self.collectives.rank_died(rid):
             self._finish_collective(done)

@@ -1,5 +1,7 @@
 """Tests for driver-level configuration and result accessors."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.parallel.driver import (
@@ -26,8 +28,11 @@ class TestConfigValidation:
         cfg = ParallelSwitchConfig(t=10, step_size=5)
         assert isinstance(cfg.cost, CostModel)
         assert not cfg.collect_edges
-        assert cfg.consecutive_failure_limit > 0
+        assert cfg.audit is None
         assert cfg.fault_tolerance is None
+        assert [f.name for f in fields(cfg)] == [
+            "t", "step_size", "cost", "collect_edges", "audit",
+            "fault_tolerance"]
 
     @pytest.mark.parametrize("ft,tick", [(True, 50.0), (False, None),
                                          (None, None)])

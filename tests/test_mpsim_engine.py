@@ -238,3 +238,54 @@ class TestPingPong:
         assert res.values[0] == [i * 2 for i in range(10)]
         assert res.values[1] == list(range(10))
         assert res.total_messages == 20
+
+
+class TestWakeRule:
+    def test_blocked_recv_wakes_at_first_matching_arrival(self):
+        """A later send to a blocked rank must not postpone the wake an
+        earlier arrival already set: rank 0 takes A at 1.06 and replies
+        by 2.37, so rank 1's probe at 3.25 sees the reply, although B
+        (arrival 6.06) was sent to rank 0 while it was blocked."""
+        def prog(ctx):
+            if ctx.rank == 0:
+                first = yield from ctx.recv()
+                yield from ctx.send(1, 5, "reply", nbytes=8)
+                second = yield from ctx.recv()
+                return (first.payload, first.arrival, second.payload)
+            if ctx.rank == 1:
+                yield from ctx.send(0, 1, "A", nbytes=8)
+                yield from ctx.compute(3.0)
+                flag = yield from ctx.iprobe(tag=5)
+                reply = yield from ctx.recv(tag=5)
+                return (flag, reply.arrival)
+            yield from ctx.compute(5.0)
+            yield from ctx.send(0, 1, "B", nbytes=8)
+            return None
+
+        res = make_cluster(3).run(prog)
+        first, a_arrival, second = res.values[0]
+        assert (first, second) == ("A", "B")
+        assert a_arrival == pytest.approx(1.058, abs=1e-4)
+        flag, reply_arrival = res.values[1]
+        assert reply_arrival == pytest.approx(2.366, abs=1e-4)
+        assert flag is True
+
+    @pytest.mark.parametrize("timeout,expect",
+                             [(10.0, ("x", 10.0)), (9.5, None)])
+    def test_deadline_wake_checks_for_a_match_first(self, timeout, expect):
+        """A timed receive whose deadline equals a message's arrival
+        returns that message; one whose deadline comes first expires."""
+        cm = CostModel(alpha=10.0, beta=0.0,
+                       send_overhead=0.0, recv_overhead=0.0)
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                msg = yield from ctx.recv(source=1, timeout=timeout)
+                late = yield from ctx.recv(source=1, timeout=1.0)
+                got = None if msg is None else (msg.payload, msg.arrival)
+                return (got, late is None)
+            yield from ctx.send(0, 1, "x")
+            return None
+
+        res = make_cluster(2, cost_model=cm).run(prog)
+        assert res.values[0] == (expect, expect is not None)

@@ -268,15 +268,13 @@ class TestForfeitedChainReturns:
         rank = make_rank(rank=0, size=3, vertices=[0, 3, 6, 9],
                          edges=[(0, 4), (3, 7)], tick=50.0)
         rank.part.checkout((0, 4))
-        rank.active = InitiatorState((0, 0), (0, 4), checked_out=[(0, 4)],
-                                     partner=1, peers=(1,))
+        rank.active = InitiatorState((0, 0), (0, 4), checked_out=[(0, 4)])
         rank.serial = 1
         drain(rank._on_rank_dead(1))
         assert rank.active is None
         assert rank.report.rejections.get("dead_peer") == 1
         rank.part.checkout((3, 7))
-        newer = InitiatorState((0, 1), (3, 7), checked_out=[(3, 7)],
-                               partner=2, peers=(2,))
+        newer = InitiatorState((0, 1), (3, 7), checked_out=[(3, 7)])
         rank.active = newer
         # straight: replacements (0, 5) (owned here) and (4, 8)
         msg = Validate((0, 0), (0, 4), (5, 8), "straight", partner=1,
@@ -288,3 +286,53 @@ class TestForfeitedChainReturns:
         assert not rank.reserved
         assert rank.part.is_checked_out((3, 7))
         assert not rank.part.is_checked_out((0, 4))
+
+    def test_any_death_forfeits_and_the_returning_chain_is_aborted(self):
+        """Rank 0's conversation (0, 0) has partner 1, but an owner the
+        initiator never hears of may die after rejecting it.  So rank 0
+        forfeits (0, 0) on the death of rank 2, which does not take
+        part, and the completed Validate that rank 1 then sends back
+        is aborted at every visited rank instead of committed."""
+        rank = make_rank(rank=0, size=3, vertices=[0, 3, 6, 9],
+                         edges=[(0, 4)], tick=50.0)
+        rank.part.checkout((0, 4))
+        rank.active = InitiatorState((0, 0), (0, 4), checked_out=[(0, 4)])
+        drain(rank._on_rank_dead(2))
+        assert rank.active is None
+        assert not rank.part.is_checked_out((0, 4))
+        assert rank.report.rejections.get("dead_peer") == 1
+        # straight: replacements (0, 5) (owned here) and (4, 8)
+        msg = Validate((0, 0), (0, 4), (5, 8), "straight", partner=1,
+                       visited=(1,), remaining=())
+        sends = drain(rank.handle_validate(1, msg))
+        assert unframed(sends) == [(1, Abort((0, 0)))]
+        assert rank.active is None
+        assert not rank.reserved
+        assert rank.report.switches_completed == 0
+
+    def test_completed_validate_for_unknown_conv_raises_without_death(self):
+        rank = make_rank(rank=0, size=3, vertices=[0, 3, 6, 9],
+                         edges=[(0, 4)], tick=50.0)
+        msg = Validate((0, 0), (0, 4), (5, 8), "straight", partner=1,
+                       visited=(1,), remaining=())
+        with pytest.raises(ProtocolError):
+            drain(rank.handle_validate(1, msg))
+
+
+class TestRetryNamesTheDeath:
+    def test_retry_caused_by_a_death_marks_the_rank_dead(self):
+        """A Retry caused by rank 2's death can arrive before rank 2's
+        obituary: the receiver learns of the death from the Retry and
+        then ignores it as stale."""
+        rank = make_rank(rank=0, size=3, tick=50.0)
+        assert not rank.dead
+        drain(rank.handle_retry(1, Retry((0, 0), "dead_peer", 2)))
+        assert rank.dead == {2}
+        assert rank.active is None
+
+    def test_servant_retry_on_a_death_names_the_dead_rank(self):
+        rank = make_rank(rank=1, size=3, tick=50.0)
+        rank.servant[(0, 0)] = ServantState((0, 0), peers=(0, 2))
+        sends = drain(rank._on_rank_dead(2))
+        assert unframed(sends) == [(0, Retry((0, 0), "dead_peer", 2))]
+        assert not rank.servant

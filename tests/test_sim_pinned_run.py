@@ -44,6 +44,30 @@ are unchanged.  Old → new makespan: ``fault_tolerance`` 902.6945 →
 ``crash`` 1126.3174 → 1125.9973 (5 steps).  ``plain`` and ``ranks64``
 already sent 16 bytes and did not move.
 
+Every value was re-captured once more for two changes made together:
+
+* the engine's wake rule.  A blocked receive used to be woken by the
+  latest matching send instead of the earliest arrival: every matching
+  send pushed a new wake that cancelled the pending one, so a rank
+  that B was sent to after A reached it woke at B's arrival and had
+  its clock set back to A's.  A quarter of the wakes on a 64-rank
+  Miami run fired late.  A blocked receive now keeps one wake time,
+  its earliest matching arrival or its deadline, so replies go out
+  earlier and every arrival time after the first late wake moves.
+  Unifying the engine's delivery and receive code, without this rule,
+  left all five pins bit-identical;
+* any rank death now forfeits a survivor's in-flight conversation as
+  initiator, not only a death of its partner, so the crash run
+  forfeits more conversations and redraws their pairs.
+
+Old → new makespan / messages / attempts: ``plain`` 877.01 / 2,618 /
+680 → 849.22 / 2,650 / 690; ``fault_tolerance`` 902.57 / 3,015 / 704
+→ 978.22 / 3,004 / 689; ``message_faults`` 8605.12 / 4,083 / 697 →
+7265.05 / 3,871 / 697; ``ranks64`` 315.49 / 3,119 / 649 → 292.82 /
+3,180 / 653; ``crash`` 1126.00 / 3,387 / 736 → 1228.05 / 3,457 / 749,
+of which the wake rule alone gives 1094.10 / 3,349 / 738.  The crash
+run still takes 5 steps.
+
 The crash run crashes rank 2 at op 392.  Ops are counted per rank, and
 without Commit acknowledgements op 392 falls at another protocol point
 than it did when the index was chosen; the run still loses rank 2
@@ -71,29 +95,29 @@ from repro.util.rng import RngStream
 PINNED = {
     "plain": (
         {}, 2,
-        877.0070810317993, 2618, 680,
-        "39db15712cc5d221b16186302721eef3de21a230e228f7f16122508573948c52",
+        849.2150058746338, 2650, 690,
+        "dcc988de177337e8c805d1fec019e44aa820fab4e35b11d265944ece76705fed",
     ),
     "fault_tolerance": (
         {"fault_tolerance": True}, 2,
-        902.5664434432983, 3015, 704,
-        "6ad4b26ba554916752ed1819af6fb8608ab097c80382c6e7331a1eb2e4e1aa96",
+        978.2155828475952, 3004, 689,
+        "338d463fdab03a0e6b6331003b461b782b2346876166bb2f955ba2bcc7e071ae",
     ),
     "message_faults": (
         {"faults": FaultPlan(seed=3, drop_rate=0.05, duplicate_rate=0.05,
                              delay_rate=0.05)}, 2,
-        8605.11580657959, 4083, 697,
-        "27c070cd1eedcf1c7f0230ecfa76b7b34d0d97a373920a22dfd1f5651dbb2999",
+        7265.045621871948, 3871, 697,
+        "1b71a5bbbbfa3c7e923db96bb3745f36566d7a032bc5cc00b70227bb68316984",
     ),
     "crash": (
         {"faults": FaultPlan(seed=5, crash_rank=2, crash_at_op=392)}, 5,
-        1125.9972887039185, 3387, 736,
-        "8e9bd3ed1a14990a20471a21f62f91b1bc03f5181969015e84d32ad94a7c2f03",
+        1228.047306060791, 3457, 749,
+        "5ab6a210264f44a930d6174a12693915f2a2c18128a755b1788284d9aaa21fa4",
     ),
     "ranks64": (
         {"num_ranks": 64}, 2,
-        315.49372386932373, 3119, 649,
-        "b029ef0aef52b996a26c6560c3475bc1edc7418c9094ee053d30cabc68f29f69",
+        292.82178115844727, 3180, 653,
+        "6c6c16a588f7b33f510ff47d8a825f50a28d657e531fd894d88de0c7219ccba6",
     ),
 }
 
