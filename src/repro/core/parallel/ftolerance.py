@@ -59,7 +59,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.parallel.messages import Frame, FrameAck
-from repro.util.rng import RngStream
+from repro.util.rng import BlockSampler, RngStream
 
 __all__ = ["BACKOFF", "MAX_RETRIES", "RETRANSMIT_AFTER", "ReliableChannel"]
 
@@ -122,7 +122,9 @@ class ReliableChannel:
         self.retransmits = 0
         self.dup_drops = 0
         self.abandoned = 0
-        self._jitter = RngStream((0, rank))
+        # Drawn in blocks: the same values as scalar draws from this
+        # stream, without a numpy call per armed timer.
+        self._jitter = BlockSampler(RngStream((0, rank)))
 
     def link(self, peer: int) -> _Link:
         link = self.links.get(peer)
@@ -133,7 +135,7 @@ class ReliableChannel:
     def _arm(self, link: _Link) -> None:
         # Seeded jitter spreads the first retransmit over one extra
         # tick so simultaneous losses do not retransmit in lockstep.
-        link.due = self.ticks + RETRANSMIT_AFTER + self._jitter.randint(2)
+        link.due = self.ticks + RETRANSMIT_AFTER + self._jitter.index(2)
 
     # -- sending -------------------------------------------------------
 
@@ -254,7 +256,7 @@ class ReliableChannel:
                 else:
                     link.retries += 1
                     wait = RETRANSMIT_AFTER * BACKOFF ** link.retries
-                    link.due = ticks + int(wait) + self._jitter.randint(2)
+                    link.due = ticks + int(wait) + self._jitter.index(2)
                     out.append((dest, self._resend(link)))
             if link.ahead or link.low > link.told:
                 out.append((dest, self._ack(link)))

@@ -617,8 +617,9 @@ class SwitchRank(ConversationMixin):
         barrier has completed, every message sent in the run has
         arrived and a probe finds it, on every backend:
 
-        * threads: a send appends to the destination's mailbox under
-          the shared lock before the sender's op returns;
+        * threads: a send puts the message into the destination's
+          inbox before the sender's op returns, so before its barrier
+          join, and ``probe`` sweeps the inbox before it answers;
         * procs: a send is written into the pair's pipe before the
           sender writes its barrier join to the router, and ``probe``
           reads every ready pipe until none is left;

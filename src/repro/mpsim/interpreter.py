@@ -2,7 +2,7 @@
 
 The discrete-event engine, the threads backend and the process backend
 run one op set (:mod:`repro.mpsim.ops`).  They differ in how a rank
-blocks (event heap, condition variable, poll selector), how a message
+blocks (event heap, queue inbox, poll selector), how a message
 travels and how an obituary is delivered.  Everything else lives here,
 written once:
 
@@ -15,7 +15,10 @@ written once:
 * :func:`run_ops` is the op loop of the two blocking backends, with
   the fault-injection hooks.  The engine keeps its own inlined loop
   (``SimulationEngine.run``): it resumes ranks from an event heap and
-  cannot block in place.
+  cannot block in place;
+* :class:`MailboxPort` is those two backends' receive: matching in a
+  private mailbox, a sweep of the transport, and a blocking pull
+  bounded by the deadline and the ``recv_timeout`` guard.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import (
     Set,
 )
 
-from repro.errors import SimulationError
+from repro.errors import DeadlockError, SimulationError
 from repro.mpsim.context import reduce_values
 from repro.mpsim.faults import RankFaultInjector, TAG_OBITUARY
 from repro.mpsim.ops import Collective, Compute, Message, Probe, Recv, Send
@@ -35,6 +38,7 @@ from repro.mpsim.trace import RankTrace
 __all__ = [
     "CompletedCollective",
     "CollectiveTable",
+    "MailboxPort",
     "collective_results",
     "settle_trace",
     "run_ops",
@@ -176,6 +180,77 @@ def settle_trace(trace: RankTrace, leftover: Sequence[Message],
     if inj is not None:
         trace.faults_injected = len(inj.events)
         trace.fault_events = list(inj.events)
+
+
+class MailboxPort:
+    """The receive half of a port on a backend whose ranks block in
+    place (threads, procs), written once.
+
+    Arrived messages sit in ``mailbox``, which only the rank itself
+    reads.  A receive or probe scans it; on a miss it sweeps the
+    transport once and scans only what the sweep added.  A receive
+    that still misses blocks in pulls bounded by its deadline and by
+    the ``recv_timeout`` guard, and names its op in ``waiting`` while
+    it does.
+
+    A backend sets ``mailbox`` and ``recv_timeout`` and supplies
+    ``_pull(timeout)``, which moves what has arrived into the mailbox,
+    waits up to ``timeout`` seconds for a message if nothing has
+    (``0``: no wait), and returns whether it moved any; and
+    ``_stuck()``, the :class:`~repro.errors.DeadlockError` raised when
+    the guard expires.
+    """
+
+    #: The op this rank is blocked in, ``None`` while it runs.
+    waiting: Optional[str] = None
+
+    def _find(self, source: int, tag: int, start: int) -> int:
+        """Index of the first match at or after ``mailbox[start]``, or
+        -1."""
+        mailbox = self.mailbox
+        for idx in range(start, len(mailbox)):
+            m = mailbox[idx]
+            if ((source == -1 or source == m.source)
+                    and (tag == -1 or tag == m.tag)):
+                return idx
+        return -1
+
+    def probe(self, op: Probe) -> bool:
+        source, tag = op.source, op.tag
+        if self._find(source, tag, 0) >= 0:
+            return True
+        start = len(self.mailbox)
+        return self._pull(0) and self._find(source, tag, start) >= 0
+
+    def recv(self, op: Recv) -> Optional[Message]:
+        """The first matching message; ``None`` when a timed receive
+        expires."""
+        source, tag = op.source, op.tag
+        mailbox = self.mailbox
+        idx = self._find(source, tag, 0)
+        if idx < 0:
+            start = len(mailbox)
+            if self._pull(0):
+                idx = self._find(source, tag, start)
+        if idx >= 0:
+            return mailbox.pop(idx)
+        now = _time.monotonic()
+        timed = op.timeout is not None and op.timeout <= self.recv_timeout
+        limit = now + (op.timeout if timed else self.recv_timeout)
+        self.waiting = f"recv(source={source}, tag={tag})"
+        try:
+            while now < limit:
+                start = len(mailbox)
+                if self._pull(limit - now):
+                    idx = self._find(source, tag, start)
+                    if idx >= 0:
+                        return mailbox.pop(idx)
+                now = _time.monotonic()
+            if timed:
+                return None  # timed receive expired
+            raise self._stuck()
+        finally:
+            self.waiting = None
 
 
 def run_ops(gen: Generator, rank: int, port, trace: RankTrace,

@@ -17,9 +17,11 @@ on).  Each worker also has a control pipe to a router thread in the
 parent, which never sees point-to-point traffic: it sequences
 collectives in the :class:`~repro.mpsim.interpreter.CollectiveTable`
 the other backends use, collects results and failures, and ends the
-run.  A worker runs the op loop shared with the threads backend
-(:func:`~repro.mpsim.interpreter.run_ops`) and waits on all of its
-pipes at once in one ``poll`` selector; it ships its
+run.  A worker runs the op loop and the receive shared with the
+threads backend (:func:`~repro.mpsim.interpreter.run_ops`,
+:class:`~repro.mpsim.interpreter.MailboxPort`): it matches in a
+private mailbox, sweeps its pipes, and waits on all of them at once in
+one ``poll`` selector.  It ships its
 :class:`~repro.mpsim.trace.RankTrace` to the parent when it ends.
 
 Fault injection mirrors the other backends: each worker builds its own
@@ -79,10 +81,11 @@ from repro.mpsim.faults import (
 from repro.mpsim.interpreter import (
     CollectiveTable,
     CompletedCollective,
+    MailboxPort,
     run_ops,
     settle_trace,
 )
-from repro.mpsim.ops import Collective, Message, Probe, Recv, Send
+from repro.mpsim.ops import Collective, Message, Send
 from repro.mpsim.trace import ClusterTrace, RankTrace
 from repro.util.rng import RngStream
 
@@ -101,7 +104,7 @@ _LATE = "late"          # sink's arrivals after _DONE/_CRASH, per source
 _CONTROL = -1
 
 
-class _WorkerPort:
+class _WorkerPort(MailboxPort):
     """A worker's half of :func:`run_ops`: a pipe per peer and a
     control pipe to the router, all waited on in one poll selector.
 
@@ -125,81 +128,40 @@ class _WorkerPort:
         #: peers known dead: obituary read, or pipe closed
         self.dead: Set[int] = set()
 
-    def _pull(self, timeout) -> bool:
-        """Read one frame from every ready pipe; False if none was
-        ready within ``timeout`` seconds (``0`` sweeps)."""
+    def _pull(self, timeout: float) -> bool:
+        """Read every ready pipe until none is; wait up to ``timeout``
+        seconds for one if none is ready at first."""
         ready = self.sel.select(timeout)
-        for key, _ in ready:
-            src = key.data
-            try:
-                frame = key.fileobj.recv()
-            except (EOFError, OSError):
-                if src == _CONTROL:
-                    raise SimulationError("aborting: router is gone")
-                # the peer died without a report; the router fails the
-                # run, and sends to it are dead letters until then
-                self.sel.unregister(key.fileobj)
-                self.dead.add(src)
-                continue
-            if src == _CONTROL:
-                if frame[0] == _STOP:
-                    raise SimulationError("aborting: another rank failed")
-                self.coll_results.append(frame[1])
-            else:
-                tag = frame[0]
-                if tag == TAG_OBITUARY:
+        if not ready:
+            return False
+        while ready:
+            for key, _ in ready:
+                src = key.data
+                try:
+                    frame = key.fileobj.recv()
+                except (EOFError, OSError):
+                    if src == _CONTROL:
+                        raise SimulationError("aborting: router is gone")
+                    # the peer died without a report; the router fails
+                    # the run, and sends to it are dead letters until then
+                    self.sel.unregister(key.fileobj)
                     self.dead.add(src)
-                self.mailbox.append(Message(src, tag, frame[1], 0.0))
-        return bool(ready)
+                    continue
+                if src == _CONTROL:
+                    if frame[0] == _STOP:
+                        raise SimulationError(
+                            "aborting: another rank failed")
+                    self.coll_results.append(frame[1])
+                else:
+                    tag = frame[0]
+                    if tag == TAG_OBITUARY:
+                        self.dead.add(src)
+                    self.mailbox.append(Message(src, tag, frame[1], 0.0))
+            ready = self.sel.select(0)
+        return True
 
-    def _find(self, source: int, tag: int, start: int) -> int:
-        """Index of the first match at or after ``mailbox[start]``, or
-        -1."""
-        mailbox = self.mailbox
-        for idx in range(start, len(mailbox)):
-            m = mailbox[idx]
-            if ((source == -1 or source == m.source)
-                    and (tag == -1 or tag == m.tag)):
-                return idx
-        return -1
-
-    def recv(self, op: Recv) -> Optional[Message]:
-        source, tag = op.source, op.tag
-        mailbox = self.mailbox
-        find = self._find
-        pull = self._pull
-        idx = find(source, tag, 0)
-        if idx < 0:
-            start = len(mailbox)
-            while pull(0):
-                pass
-            idx = find(source, tag, start)
-        if idx >= 0:
-            return mailbox.pop(idx)
-        now = _time.monotonic()
-        guard = now + self.recv_timeout
-        deadline = None if op.timeout is None else now + op.timeout
-        while True:
-            if deadline is not None and now >= deadline:
-                return None  # timed receive expired
-            if now >= guard:
-                raise DeadlockError(f"recv(source={source}, tag={tag})")
-            limit = guard if deadline is None else min(guard, deadline)
-            start = len(mailbox)
-            pull(limit - now)
-            idx = find(source, tag, start)
-            if idx >= 0:
-                return mailbox.pop(idx)
-            now = _time.monotonic()
-
-    def probe(self, op: Probe) -> bool:
-        source, tag = op.source, op.tag
-        if self._find(source, tag, 0) >= 0:
-            return True
-        start = len(self.mailbox)
-        while self._pull(0):
-            pass
-        return self._find(source, tag, start) >= 0
+    def _stuck(self) -> DeadlockError:
+        return DeadlockError(self.waiting)
 
     def collective(self, op: Collective) -> Any:
         self.ctl.send((_COLL, op))

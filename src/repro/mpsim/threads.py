@@ -3,29 +3,38 @@
 Purpose: the discrete-event backend is deterministic, which is good for
 experiments but means a protocol bug that only shows under unusual
 interleavings could hide.  This backend runs each rank program on an OS
-thread with shared mailboxes, so the GIL's preemption supplies genuine
-nondeterminism.  The test suite runs the full switching protocol here
-and re-checks every invariant.
+thread, so the GIL's preemption supplies genuine nondeterminism.  The
+test suite runs the full switching protocol here and re-checks every
+invariant.
 
 Timing is not modelled: :class:`Compute` only adds to the rank's
 ``compute_time``, and ``RunResult.sim_time`` is wall-clock seconds.
-Every 64th send, receive or probe calls ``time.sleep(0)`` to encourage
+Every 64th send or inbox sweep calls ``time.sleep(0)`` to encourage
 preemption.
 
 Each thread runs the op loop shared with the process backend
 (:func:`repro.mpsim.interpreter.run_ops`), with the fault-injection
 hooks, so a :class:`~repro.mpsim.faults.FaultPlan` produces the same
-faults here as under simulation.  This module supplies the rank's
-port: mailboxes and a condition variable per rank under one lock.  A
-crashed rank thread stops interpreting, delivers a
-:class:`~repro.mpsim.faults.RankObituary` to every still-running rank,
-and completes any collective that was waiting only on it.
+faults here as under simulation.  Receives and probes are the
+process backend's too (:class:`~repro.mpsim.interpreter.MailboxPort`).
+This module supplies the rest of the rank's port.  Every rank has a
+``queue.SimpleQueue`` inbox: a send is one ``put``, with no lock, and
+only the owner takes from it, into a private mailbox; a rank that has
+to wait blocks in ``get``.  A rank that fails puts a sentinel into
+every inbox, which wakes the blocked receivers into the abort.  The
+one lock guards the collectives.  A crashed rank thread stops
+interpreting, puts a :class:`~repro.mpsim.faults.RankObituary` into
+every still-running rank's inbox, and completes any collective that
+was waiting only on it.  At the end of a run each inbox is swept into
+its mailbox before the accounting, so a message that reached a crashed
+rank counts as a dead letter.
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
+from queue import Empty, SimpleQueue
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.errors import DeadlockError, SimulationError
@@ -41,14 +50,17 @@ from repro.mpsim.faults import (
 from repro.mpsim.interpreter import (
     CollectiveTable,
     CompletedCollective,
+    MailboxPort,
     run_ops,
     settle_trace,
 )
-from repro.mpsim.ops import Collective, Message, Probe, Recv, Send
+from repro.mpsim.ops import Collective, Message, Send
 from repro.mpsim.trace import ClusterTrace, RankTrace
 from repro.util.rng import spawn_streams
 
 __all__ = ["ThreadCluster"]
+
+_new_message = tuple.__new__
 
 
 class _Shared:
@@ -56,9 +68,11 @@ class _Shared:
 
     def __init__(self, p: int):
         self.p = p
+        #: Each rank's inbox: any thread puts, only the owner takes.
+        self.inboxes = [SimpleQueue() for _ in range(p)]
+        self.ports: List[_ThreadPort] = []
+        #: Guards the collective state below and ``finished``.
         self.lock = threading.Lock()
-        self.conds = [threading.Condition(self.lock) for _ in range(p)]
-        self.mailboxes: List[List[Message]] = [[] for _ in range(p)]
         self.collectives = CollectiveTable(p)
         #: rank -> result of the collective it waits in (at most one:
         #: a rank joins its next collective only after taking it).
@@ -70,18 +84,14 @@ class _Shared:
         self.abort = False
         #: Ranks whose program returned normally (no obituaries to them).
         self.finished: Set[int] = set()
-        #: Blocked-rank registry: rank -> human description of the op it
-        #: waits on.  Read (under the lock) to build DeadlockError
-        #: payloads naming every blocked rank, like the engine does.
-        self.waiting: Dict[int, str] = {}
 
     def blocked_report(self) -> str:
-        """Every currently blocked rank and what it waits on (call with
-        the lock held)."""
-        if not self.waiting:
+        """Every currently blocked rank and what it waits on.  Ranks
+        set their ``waiting`` without the lock, so each is read once."""
+        lines = [f"rank {port.rank} waiting for {what}"
+                 for port in self.ports if (what := port.waiting) is not None]
+        if not lines:
             return "no other rank is blocked"
-        lines = [f"rank {r} waiting for {what}"
-                 for r, what in sorted(self.waiting.items())]
         return "blocked ranks:\n  " + "\n  ".join(lines)
 
     def hand_out(self, done: CompletedCollective) -> None:
@@ -91,15 +101,17 @@ class _Shared:
         self.coll_cond.notify_all()
 
 
-class _ThreadPort:
-    """One rank thread's half of :func:`run_ops`: sends append to the
-    destination's mailbox under the shared lock, and a blocked rank
-    waits on a condition variable."""
+class _ThreadPort(MailboxPort):
+    """One rank thread's half of :func:`run_ops`: a send is one ``put``
+    into the destination's inbox, and the rank moves its own inbox into
+    its private mailbox, blocking in ``get`` when it has to wait."""
 
     def __init__(self, rank: int, shared: _Shared, trace: RankTrace,
                  recv_timeout: float):
         self.rank = rank
         self.shared = shared
+        self.inbox = shared.inboxes[rank]
+        self.mailbox: List[Message] = []
         self.trace = trace
         self.recv_timeout = recv_timeout
         self.value: Any = None
@@ -116,12 +128,13 @@ class _ThreadPort:
             with sh.lock:
                 sh.errors.append(exc)
                 sh.abort = True
-                for cond in sh.conds:
-                    cond.notify_all()
                 sh.coll_cond.notify_all()
+            # Wake every rank blocked in a receive: it sees the abort.
+            for inbox in sh.inboxes:
+                inbox.put(None)
 
     def _nudge(self) -> None:
-        """Yield the processor every 64 non-waiting ops, to encourage
+        """Yield the processor every 64 sends and pulls, to encourage
         preemption and so varied interleavings."""
         self._nudges += 1
         if self._nudges % 64 == 0:
@@ -130,55 +143,43 @@ class _ThreadPort:
     def send(self, op: Send) -> None:
         self._nudge()
         sh = self.shared
-        if not 0 <= op.dest < sh.p:
+        dest = op.dest
+        if not 0 <= dest < sh.p:
             raise SimulationError(
-                f"rank {self.rank} sent to invalid rank {op.dest}")
-        msg = Message(self.rank, op.tag, op.payload, 0.0)
-        with sh.lock:
-            if op.dest in sh.collectives.dead:
-                self.trace.dead_letters += 1
-                return
-            sh.mailboxes[op.dest].append(msg)
-            sh.conds[op.dest].notify_all()
+                f"rank {self.rank} sent to invalid rank {dest}")
+        if dest in sh.collectives.dead:
+            self.trace.dead_letters += 1
+            return
+        sh.inboxes[dest].put(
+            _new_message(Message, (self.rank, op.tag, op.payload, 0.0)))
         self.trace.record_send(op.nbytes)
 
-    def recv(self, op: Recv) -> Optional[Message]:
+    def _pull(self, timeout: float) -> bool:
         self._nudge()
-        sh = self.shared
-        now = _time.monotonic()
-        guard = now + self.recv_timeout
-        deadline = None if op.timeout is None else now + op.timeout
-        with sh.lock:
-            sh.waiting[self.rank] = (
-                f"recv(source={op.source}, tag={op.tag})")
+        inbox = self.inbox
+        n = inbox.qsize()
+        if n:
+            # Only this rank takes, so n puts are there to take.
+            get = inbox.get_nowait
+            put = self.mailbox.append
+            for _ in range(n):
+                put(get())
+        elif timeout > 0:
             try:
-                while True:
-                    if sh.abort:
-                        raise SimulationError("aborting: another rank failed")
-                    box = sh.mailboxes[self.rank]
-                    for idx, msg in enumerate(box):
-                        if msg.matches(op.source, op.tag):
-                            return box.pop(idx)
-                    now = _time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        return None  # timed receive expired
-                    if now >= guard:
-                        raise DeadlockError(
-                            f"rank {self.rank} timed out waiting for "
-                            f"(source={op.source}, tag={op.tag}); "
-                            + sh.blocked_report())
-                    limit = guard if deadline is None else min(guard, deadline)
-                    sh.conds[self.rank].wait(
-                        timeout=min(limit - now, 0.1))
-            finally:
-                sh.waiting.pop(self.rank, None)
+                self.mailbox.append(inbox.get(True, timeout))
+            except Empty:
+                return False
+        else:
+            return False
+        # The abort sentinel lands in the mailbox, but is never read.
+        if self.shared.abort:
+            raise SimulationError("aborting: another rank failed")
+        return True
 
-    def probe(self, op: Probe) -> bool:
-        self._nudge()
-        sh = self.shared
-        with sh.lock:
-            return any(m.matches(op.source, op.tag)
-                       for m in sh.mailboxes[self.rank])
+    def _stuck(self) -> DeadlockError:
+        return DeadlockError(
+            f"rank {self.rank} timed out waiting for {self.waiting}; "
+            + self.shared.blocked_report())
 
     def collective(self, op: Collective) -> Any:
         sh = self.shared
@@ -188,7 +189,7 @@ class _ThreadPort:
             done = sh.collectives.join(self.rank, op)
             if done is not None:
                 sh.hand_out(done)
-            sh.waiting[self.rank] = f"collective(kind={op.kind!r}, seq={seq})"
+            self.waiting = f"collective(kind={op.kind!r}, seq={seq})"
             try:
                 while self.rank not in sh.coll_results:
                     if sh.abort:
@@ -199,24 +200,21 @@ class _ThreadPort:
                             f"rank {self.rank} timed out in collective seq "
                             f"{seq} (kind={op.kind!r}); "
                             + sh.blocked_report())
-                    sh.coll_cond.wait(timeout=min(remaining, 0.1))
+                    sh.coll_cond.wait(remaining)
             finally:
-                sh.waiting.pop(self.rank, None)
+                self.waiting = None
             return sh.coll_results.pop(self.rank)
 
     def crash(self) -> None:
         """Fail-stop this rank: deliver obituaries and complete the
         collectives that were waiting only on it."""
         sh = self.shared
-        obit = RankObituary(self.rank)
+        obit = Message(self.rank, TAG_OBITUARY, RankObituary(self.rank), 0.0)
         with sh.lock:
             for r in range(sh.p):
-                if (r == self.rank or r in sh.collectives.dead
+                if not (r == self.rank or r in sh.collectives.dead
                         or r in sh.finished):
-                    continue
-                sh.mailboxes[r].append(
-                    Message(self.rank, TAG_OBITUARY, obit, 0.0))
-                sh.conds[r].notify_all()
+                    sh.inboxes[r].put(obit)
             for done in sh.collectives.rank_died(self.rank):
                 sh.hand_out(done)
 
@@ -252,7 +250,7 @@ class ThreadCluster:
         injectors = (build_injectors(self.faults, self.num_ranks)
                      or [None] * self.num_ranks)
         shared = _Shared(self.num_ranks)
-        ports: List[_ThreadPort] = []
+        ports = shared.ports
         threads: List[threading.Thread] = []
         start = _time.monotonic()
         for rank in range(self.num_ranks):
@@ -272,8 +270,9 @@ class ThreadCluster:
             raise shared.errors[0]
         wall = _time.monotonic() - start
         traces = [port.trace for port in ports]
-        for rank, tr in enumerate(traces):
-            tr.finish_time = wall
-            settle_trace(tr, shared.mailboxes[rank], injectors[rank])
+        for port, inj in zip(ports, injectors):
+            port.trace.finish_time = wall
+            port._pull(0)  # what reached the rank after it stopped
+            settle_trace(port.trace, port.mailbox, inj)
         return RunResult(wall, [port.value for port in ports],
                          ClusterTrace(traces))

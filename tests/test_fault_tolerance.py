@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.core.parallel.driver import parallel_edge_switch
-from repro.core.parallel.ftolerance import ReliableChannel
+from repro.core.parallel.ftolerance import RETRANSMIT_AFTER, ReliableChannel
 from repro.core.parallel.messages import Frame, FrameAck
 from repro.errors import DeadlockError, ProtocolAuditError
 from repro.graphs.generators import erdos_renyi_gnm
@@ -178,6 +178,20 @@ class TestMutationDedupDisabled:
             parallel_edge_switch(
                 graph, RANKS, t=T, step_size=60, seed=2, backend="sim",
                 audit=True, faults=plan)
+
+
+class TestRetransmitJitter:
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_block_drawn_jitter_matches_scalar_draws(self, rank):
+        """The channel draws its timer jitter in blocks; the values are
+        the scalar draws of its stream, so FT runs do not move."""
+        ch = ReliableChannel(rank)
+        for dest in range(1000):
+            ch.wrap(dest, "x")  # arms the fresh link's timer
+        jitter = [ch.links[dest].due - RETRANSMIT_AFTER
+                  for dest in range(1000)]
+        scalar = RngStream((0, rank))
+        assert jitter == [scalar.randint(2) for _ in range(1000)]
 
 
 class TestBoundedDedup:
